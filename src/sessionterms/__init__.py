@@ -7,7 +7,6 @@ from .actions import (
     length_by_position,
     pair_summary,
     similarity_by_position,
-    term_actions,
 )
 from .corpus import (
     ClickEvent,
@@ -23,7 +22,6 @@ from .corpus import (
     ingest_trec_xml,
     merge,
     to_canonical_json,
-    with_qrels,
 )
 from .ireval import (
     average_precision,

@@ -69,11 +69,6 @@ def extract_pairs(corpus, include_test_queries: bool = True):
     return pairs
 
 
-def term_actions(pair: QueryPair):
-    """(retained, removed, added) term sets of a pair."""
-    return pair.retained, pair.removed, pair.added
-
-
 _SUMMARY_ROWS = [
     "jaccard",
     "cosine",

@@ -13,6 +13,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import replace
 
 from . import actions, ireval, scenarios, sources, synthgen
 from .corpus import (
@@ -23,8 +24,8 @@ from .corpus import (
     ingest_qrels,
     ingest_trec_xml,
     merge,
+    normalization_settings,
     to_canonical_json,
-    with_qrels,
 )
 from .similarity import MissingDocstoreError
 from .textnorm import NormalizationConfig, load_stoplist
@@ -33,14 +34,7 @@ STOPLIST_ENV = "SESSIONTERMS_STOPLIST"
 
 
 def _config_hash(config: NormalizationConfig) -> str:
-    doc = json.dumps(
-        {
-            "stoplist": sorted(config.stoplist),
-            "stemming_enabled": config.stemming_enabled,
-            "keep_numeric_tokens": config.keep_numeric_tokens,
-        },
-        sort_keys=True,
-    )
+    doc = json.dumps(normalization_settings(config), sort_keys=True)
     return hashlib.sha256(doc.encode()).hexdigest()[:16]
 
 
@@ -68,7 +62,7 @@ def cmd_ingest(args) -> int:
         corpora, provenance="+".join(c.provenance for c in corpora)
     )
     if args.qrels:
-        corpus = with_qrels(corpus, ingest_qrels(args.qrels))
+        corpus = replace(corpus, qrels=ingest_qrels(args.qrels))
     if args.docs:
         corpus = attach_documents(corpus, args.docs)
     with open(args.out, "wb") as f:
@@ -271,11 +265,14 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--k-max", type=int, default=5)
     analyze.add_argument("--max-position", type=int, default=9)
     analyze.add_argument("--cutoff", type=int, default=10)
-    analyze.add_argument("--dwell-thresholds", default="0,5,10,15,20,25,30,35,40,45,50,55,60")
+    analyze.add_argument(
+        "--dwell-thresholds", default=",".join(map(str, sources.DEFAULT_DWELL_THRESHOLDS))
+    )
     analyze.add_argument("--docstore-policy", choices=["drop", "empty"], default="drop")
     analyze.add_argument("--strict", action="store_true")
     analyze.add_argument("--config", metavar="PATH", help="JSON file of flag defaults")
-    analyze.set_defaults(func=cmd_analyze)
+    # `parser` lets main() set the --config defaults on this subparser.
+    analyze.set_defaults(func=cmd_analyze, parser=analyze)
 
     synth = sub.add_parser("synth", help="generate a synthetic corpus")
     synth.add_argument("--spec", required=True, metavar="PATH")
@@ -286,18 +283,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    # --config supplies defaults; explicit flags take precedence
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if "--config" in argv:
-        config_path = argv[argv.index("--config") + 1]
+    # --config supplies defaults; explicit flags take precedence, so the
+    # first pass only finds the file and the second parses with its values.
+    args, _ = parser.parse_known_args(argv)
+    if getattr(args, "config", None):
         try:
-            with open(config_path, encoding="utf-8") as f:
+            with open(args.config, encoding="utf-8") as f:
                 defaults = json.load(f)
         except (OSError, json.JSONDecodeError) as exc:
-            parser.error(f"cannot read --config {config_path}: {exc}")
-        parser._subparsers._group_actions[0].choices["analyze"].set_defaults(
-            **{k.replace("-", "_"): v for k, v in defaults.items()}
-        )
+            parser.error(f"cannot read --config {args.config}: {exc}")
+        args.parser.set_defaults(**{k.replace("-", "_"): v for k, v in defaults.items()})
     args = parser.parse_args(argv)
     try:
         return args.func(args)

@@ -2,8 +2,10 @@
 
 Supports TREC Session Track style XML, 4-column qrels, a document-text
 sidecar directory and a versioned canonical JSON interchange format.
-The corpus is immutable after ingestion and safe to share across
-parallel analysis workers.
+Sessions, impressions, results and clicks are frozen dataclasses.
+`Corpus` is not: it is a plain mutable dataclass whose `doc_terms`
+fills a per-instance memo of normalized documents on first use, and a
+copy made with `dataclasses.replace` starts with an empty memo.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import json
 import os
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 from .textnorm import NormalizationConfig, TermBag, normalize, strip_html
 
@@ -347,24 +349,11 @@ def attach_documents(corpus: Corpus, directory) -> Corpus:
     provenance = corpus.provenance
     if warnings:
         provenance = provenance + " | " + "; ".join(warnings)
-    return Corpus(
-        sessions=corpus.sessions,
-        config=corpus.config,
-        qrels=corpus.qrels,
+    return replace(
+        corpus,
         docstore=docstore,
         provenance=provenance,
         incomplete_impressions=frozenset(incomplete),
-    )
-
-
-def with_qrels(corpus: Corpus, qrels: RelevanceJudgments) -> Corpus:
-    return Corpus(
-        sessions=corpus.sessions,
-        config=corpus.config,
-        qrels=qrels,
-        docstore=corpus.docstore,
-        provenance=corpus.provenance,
-        incomplete_impressions=corpus.incomplete_impressions,
     )
 
 
@@ -385,11 +374,10 @@ def merge(corpora, provenance="combined") -> Corpus:
     any_qrels = False
     for i, corpus in enumerate(corpora):
         for session in corpus.sessions:
-            sid = session.id
-            if sid in seen:
-                sid = f"{i}:{sid}"
-            seen.add(sid)
-            sessions.append(Session(id=sid, topic_id=session.topic_id, impressions=session.impressions))
+            if session.id in seen:
+                session = replace(session, id=f"{i}:{session.id}")
+            seen.add(session.id)
+            sessions.append(session)
         if corpus.docstore:
             any_docs = True
             docstore.update(corpus.docstore)
@@ -408,6 +396,15 @@ def merge(corpora, provenance="combined") -> Corpus:
     ).validate()
 
 
+def normalization_settings(config: NormalizationConfig) -> dict:
+    """The normalization config as stored in canonical JSON."""
+    return {
+        "stoplist": sorted(config.stoplist),
+        "stemming_enabled": config.stemming_enabled,
+        "keep_numeric_tokens": config.keep_numeric_tokens,
+    }
+
+
 def _bag_to_json(bag: TermBag):
     return {t: bag.counts[t] for t in sorted(bag.counts)}
 
@@ -417,11 +414,7 @@ def to_canonical_json(corpus: Corpus) -> bytes:
     doc = {
         "schema": CANONICAL_SCHEMA_VERSION,
         "provenance": corpus.provenance,
-        "normalization": {
-            "stoplist": sorted(corpus.config.stoplist),
-            "stemming_enabled": corpus.config.stemming_enabled,
-            "keep_numeric_tokens": corpus.config.keep_numeric_tokens,
-        },
+        "normalization": normalization_settings(corpus.config),
         "sessions": [
             {
                 "id": s.id,

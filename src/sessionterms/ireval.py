@@ -86,12 +86,16 @@ def impression_metrics(impression, topic_id, qrels, cutoff: int = DEFAULT_CUTOFF
     )
 
 
-def metrics_by_position(corpus, qrels=None, cutoff: int = DEFAULT_CUTOFF):
+def _require_qrels(corpus, caller):
+    if corpus.qrels is None:
+        raise ValueError(f"{caller} requires relevance judgments")
+    return corpus.qrels
+
+
+def metrics_by_position(corpus, cutoff: int = DEFAULT_CUTOFF):
     """Macro-averaged metrics per impression position, test queries
     excluded; returns [(position, mean_ndcg, mean_nerr, mean_map, count)]."""
-    qrels = qrels if qrels is not None else corpus.qrels
-    if qrels is None:
-        raise ValueError("metrics_by_position requires relevance judgments")
+    qrels = _require_qrels(corpus, "metrics_by_position")
     grouped = {}
     for session in corpus.sessions:
         if session.topic_id is None:
@@ -138,32 +142,20 @@ def pair_metric_deltas(pair, corpus, qrels, cutoff: int = DEFAULT_CUTOFF):
     }
 
 
-def scenario_metric_eval(records, corpus, qrels=None,
-                         cutoff: int = DEFAULT_CUTOFF,
+def scenario_metric_eval(records, corpus, cutoff: int = DEFAULT_CUTOFF,
                          alpha: float = 0.05) -> ReportTable:
     """Mean metric change from q_n to q_{n+1} per term action and
     scenario, with Wilcoxon signed-rank significance at p < alpha."""
-    qrels = qrels if qrels is not None else corpus.qrels
-    if qrels is None:
-        raise ValueError("scenario_metric_eval requires relevance judgments")
+    qrels = _require_qrels(corpus, "scenario_metric_eval")
     delta_cache = {}
     grouped = {}
     for rec in records:
         if rec.scenario not in EVAL_SCENARIOS:
             continue
+        # A record names its pair by (session_id, position), as a QueryPair does.
         key = (rec.session_id, rec.position)
         if key not in delta_cache:
-            session = corpus.session_by_id(rec.session_id)
-            imp_n = session.impressions[rec.position - 1]
-            imp_n1 = session.impressions[rec.position]
-            if session.topic_id is None or not imp_n.results or not imp_n1.results:
-                delta_cache[key] = None
-            else:
-                values_n = impression_metrics(imp_n, session.topic_id, qrels, cutoff)
-                values_n1 = impression_metrics(imp_n1, session.topic_id, qrels, cutoff)
-                delta_cache[key] = {
-                    m: v1 - v0 for m, v0, v1 in zip(METRICS, values_n, values_n1)
-                }
+            delta_cache[key] = pair_metric_deltas(rec, corpus, qrels, cutoff)
         deltas = delta_cache[key]
         if deltas is None:
             continue
@@ -178,7 +170,7 @@ def scenario_metric_eval(records, corpus, qrels=None,
                 cell = grouped.get((action, scenario))
                 if not cell:
                     continue
-                values = [d[metric] for d in cell]
+                values = [d[metric].delta for d in cell]
                 mean = float(np.mean(values))
                 nonzero = [v for v in values if v != 0.0]
                 if len(nonzero) < 2:
@@ -196,11 +188,9 @@ def scenario_metric_eval(records, corpus, qrels=None,
     return table
 
 
-def metrics_csv(corpus, qrels=None, cutoff: int = DEFAULT_CUTOFF) -> str:
+def metrics_csv(corpus, cutoff: int = DEFAULT_CUTOFF) -> str:
     """Per-impression metric dump (session, position, metric, value)."""
-    qrels = qrels if qrels is not None else corpus.qrels
-    if qrels is None:
-        raise ValueError("metrics_csv requires relevance judgments")
+    qrels = _require_qrels(corpus, "metrics_csv")
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["session", "position", "metric", "value"])

@@ -179,7 +179,7 @@ def retention_by_scenario(records):
     return series
 
 
-def click_outcome_eval(records, corpus=None) -> ReportTable:
+def click_outcome_eval(records) -> ReportTable:
     """Percentage of records whose successor impression contains a click,
     per evaluated scenario and term action."""
     columns = [RETAINED, REMOVED, ADDED]

@@ -4,7 +4,6 @@ cosine, TFIDF cosine and BM25, plus per-source-kind collection statistics.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -71,17 +70,6 @@ class CollectionStats:
         """Non-negative (Lucene-style) BM25 idf."""
         df = self.df.get(term, 0)
         return math.log(1.0 + (self.N - df + 0.5) / (df + 0.5))
-
-    def to_json(self):
-        return json.dumps(
-            {
-                "kind": self.kind.value,
-                "N": self.N,
-                "avgdl": self.avgdl,
-                "df": {t: self.df[t] for t in sorted(self.df)},
-            },
-            sort_keys=True,
-        )
 
 
 def build_stats(corpus, kind: SourceKind) -> CollectionStats:

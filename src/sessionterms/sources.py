@@ -12,7 +12,7 @@ import numpy as np
 from .report import ReportTable
 from .similarity import (
     DOCUMENT_KINDS,
-    CollectionStats,
+    SNIPPET_KINDS,
     MissingDocstoreError,
     SourceKind,
     bm25,
@@ -141,21 +141,22 @@ def _added_bag(pair) -> TermBag:
     return TermBag({t: pair.qn1_bag.counts[t] for t in added})
 
 
-def _snippet_scores(pair, impression, stats, k1, b):
-    """Per-rank (jaccard, cosine_tfidf, bm25, length) against added terms."""
+def _similarities(pair, bags, stats, k1, b):
+    """Per-bag (terms, jaccard, cosine_tfidf, bm25) against added terms."""
     added = pair.added
     added_bag = _added_bag(pair)
-    scores = []
-    for r in impression.results:
-        scores.append(
+    return np.asarray(
+        [
             (
-                jaccard(added, r.terms.terms),
-                cosine_tfidf(added_bag, r.terms, stats),
-                bm25(added, r.terms, stats, k1=k1, b=b),
-                r.terms.length,
+                bag.length,
+                jaccard(added, bag.terms),
+                cosine_tfidf(added_bag, bag, stats),
+                bm25(added, bag, stats, k1=k1, b=b),
             )
-        )
-    return scores
+            for bag in bags
+        ],
+        dtype=float,
+    )
 
 
 _MEASURES = ["snippet_terms", "jaccard", "cosine", "bm25"]
@@ -163,69 +164,62 @@ _MEASURES = ["snippet_terms", "jaccard", "cosine", "bm25"]
 
 def _prefix_means(scores, upto):
     prefix = scores[:upto]
-    arr = np.asarray(prefix, dtype=float)
-    return arr[:, 3].mean(), arr[:, 0].mean(), arr[:, 1].mean(), arr[:, 2].mean()
+    return tuple(prefix[:, i].mean() for i in range(len(_MEASURES)))
 
 
-def rank_prefix_similarity(pairs, corpus, k_max: int = 5,
-                           k1: float = 1.2, b: float = 0.75) -> ReportTable:
-    """Mean similarity of added terms against snippets at ranks 1..k."""
+def _prefix_cut_similarity(pairs, corpus, title, columns, cuts, k1, b) -> ReportTable:
+    """Mean similarity of added terms against snippet prefixes of the
+    predecessor impression; `cuts(impression)` gives one prefix depth
+    per column."""
     stats = build_stats(corpus, SourceKind.ALL_SNIPPETS)
-    columns = [str(k) for k in range(1, k_max + 1)]
-    per_k = {k: [] for k in range(1, k_max + 1)}
+    per_col = {col: [] for col in columns}
     for pair in pairs:
         imp = predecessor_impression(corpus, pair)
         if not imp.results:
             continue
-        scores = _snippet_scores(pair, imp, stats, k1, b)
-        for k in range(1, k_max + 1):
-            per_k[k].append(_prefix_means(scores, min(k, len(scores))))
-    table = ReportTable(title="Added-term similarity by snippet rank prefix", columns=columns)
-    for k in range(1, k_max + 1):
-        if not per_k[k]:
-            continue
-        arr = np.asarray(per_k[k], dtype=float)
-        for i, row in enumerate(_MEASURES):
-            table.set(row, str(k), float(arr[:, i].mean()), population=len(per_k[k]))
-    return table
-
-
-LAST_CLICK_COLUMNS = ["LC-1", "LC", "LC+1", "LC+2", "M"]
-
-
-def last_click_similarity(pairs, corpus, k1: float = 1.2, b: float = 0.75) -> ReportTable:
-    """Mean similarity of added terms against snippet prefixes around the
-    last clicked rank; clickless impressions contribute all M snippets to
-    every column."""
-    stats = build_stats(corpus, SourceKind.ALL_SNIPPETS)
-    per_col = {col: [] for col in LAST_CLICK_COLUMNS}
-    for pair in pairs:
-        imp = predecessor_impression(corpus, pair)
-        if not imp.results:
-            continue
-        m = len(imp.results)
-        scores = _snippet_scores(pair, imp, stats, k1, b)
-        lc = last_click_rank(imp)
-        if lc is None:
-            cuts = {col: m for col in LAST_CLICK_COLUMNS}
-        else:
-            cuts = {
-                "LC-1": max(lc - 1, 1),
-                "LC": lc,
-                "LC+1": min(lc + 1, m),
-                "LC+2": min(lc + 2, m),
-                "M": m,
-            }
-        for col, cut in cuts.items():
+        scores = _similarities(pair, [r.terms for r in imp.results], stats, k1, b)
+        for col, cut in zip(columns, cuts(imp)):
             per_col[col].append(_prefix_means(scores, cut))
-    table = ReportTable(title="Added-term similarity around the last click", columns=LAST_CLICK_COLUMNS)
-    for col in LAST_CLICK_COLUMNS:
+    table = ReportTable(title=title, columns=columns)
+    for col in columns:
         if not per_col[col]:
             continue
         arr = np.asarray(per_col[col], dtype=float)
         for i, row in enumerate(_MEASURES):
             table.set(row, col, float(arr[:, i].mean()), population=len(per_col[col]))
     return table
+
+
+def rank_prefix_similarity(pairs, corpus, k_max: int = 5,
+                           k1: float = 1.2, b: float = 0.75) -> ReportTable:
+    """Mean similarity of added terms against snippets at ranks 1..k."""
+    return _prefix_cut_similarity(
+        pairs, corpus, "Added-term similarity by snippet rank prefix",
+        [str(k) for k in range(1, k_max + 1)],
+        lambda imp: [min(k, len(imp.results)) for k in range(1, k_max + 1)],
+        k1, b,
+    )
+
+
+LAST_CLICK_COLUMNS = ["LC-1", "LC", "LC+1", "LC+2", "M"]
+
+
+def _last_click_cuts(imp):
+    m = len(imp.results)
+    lc = last_click_rank(imp)
+    if lc is None:
+        return [m] * len(LAST_CLICK_COLUMNS)
+    return [max(lc - 1, 1), lc, min(lc + 1, m), min(lc + 2, m), m]
+
+
+def last_click_similarity(pairs, corpus, k1: float = 1.2, b: float = 0.75) -> ReportTable:
+    """Mean similarity of added terms against snippet prefixes around the
+    last clicked rank; clickless impressions contribute all M snippets to
+    every column."""
+    return _prefix_cut_similarity(
+        pairs, corpus, "Added-term similarity around the last click",
+        LAST_CLICK_COLUMNS, _last_click_cuts, k1, b,
+    )
 
 
 SOURCE_ROWS = [
@@ -245,8 +239,7 @@ _SIGNIFICANCE_PAIRS = {"cs": ("ncs", "s(M)"), "cd": ("ncd", "ad")}
 
 
 def _base_stats_kind(kind):
-    if kind in {SourceKind.ALL_SNIPPETS, SourceKind.CLICKED_SNIPPETS,
-                SourceKind.NON_CLICKED_SNIPPETS}:
+    if kind in SNIPPET_KINDS:
         return SourceKind.ALL_SNIPPETS
     if kind in DOCUMENT_KINDS:
         return SourceKind.ALL_DOCUMENTS
@@ -263,9 +256,7 @@ def source_comparison(pairs, corpus, docstore_policy: str = DROP,
     if has_docs:
         rows = list(SOURCE_ROWS)
     else:
-        rows = [(label, kind) for label, kind in SOURCE_ROWS
-                if kind in {SourceKind.ALL_SNIPPETS, SourceKind.CLICKED_SNIPPETS,
-                            SourceKind.NON_CLICKED_SNIPPETS}]
+        rows = [(label, kind) for label, kind in SOURCE_ROWS if kind in SNIPPET_KINDS]
     stats_cache = {}
 
     def stats_for(kind):
@@ -280,8 +271,6 @@ def source_comparison(pairs, corpus, docstore_policy: str = DROP,
         imp = predecessor_impression(corpus, pair)
         if not imp.results:
             continue
-        added = pair.added
-        added_bag = _added_bag(pair)
         session = corpus.session_by_id(pair.session_id)
         for label, kind in rows:
             stats = stats_for(kind)
@@ -294,17 +283,7 @@ def source_comparison(pairs, corpus, docstore_policy: str = DROP,
                 ok = view.complete or docstore_policy == EMPTY
             if not ok or not instances:
                 continue
-            per_instance = [
-                (
-                    bag.length,
-                    jaccard(added, bag.terms),
-                    cosine_tfidf(added_bag, bag, stats),
-                    bm25(added, bag, stats, k1=k1, b=b),
-                )
-                for bag in instances
-            ]
-            arr = np.asarray(per_instance, dtype=float)
-            samples[label].append(arr.mean(axis=0))
+            samples[label].append(_similarities(pair, instances, stats, k1, b).mean(axis=0))
 
     columns = ["terms", "jaccard", "cosine", "bm25"]
     table = ReportTable(title="Added-term similarity by term source", columns=columns)

@@ -9,7 +9,6 @@ from sessionterms.actions import (
     length_by_position,
     pair_summary,
     similarity_by_position,
-    term_actions,
 )
 
 from conftest import make_corpus, make_impression
@@ -54,10 +53,9 @@ class TestTermActions:
     def test_session40_pair(self, session40_corpus):
         # "gun control current affairs" -> "gun violence us"
         pair = extract_pairs(session40_corpus)[3]
-        retained, removed, added = term_actions(pair)
-        assert retained == {"gun"}
-        assert removed == {"control", "current", "affair"}
-        assert added == {"violenc", "us"}
+        assert pair.retained == {"gun"}
+        assert pair.removed == {"control", "current", "affair"}
+        assert pair.added == {"violenc", "us"}
 
     def test_identical_queries(self, session40_corpus):
         # positions 3 and 4 repeat the same query verbatim
@@ -67,7 +65,7 @@ class TestTermActions:
 
     def test_partition_invariant(self, session40_corpus):
         for pair in extract_pairs(session40_corpus):
-            retained, removed, added = term_actions(pair)
+            retained, removed, added = pair.retained, pair.removed, pair.added
             assert retained | removed == pair.qn
             assert retained | added == pair.qn1
             assert not retained & removed

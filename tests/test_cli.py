@@ -208,6 +208,14 @@ class TestAnalyze:
         assert (out / "pair_summary.md").exists()
         assert not (out / "pair_summary.csv").exists()
 
+    def test_config_without_value_exits_2(self, corpus_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "pairs", "--corpus", str(corpus_path), "--config"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --config: expected one argument" in err
+        assert "Traceback" not in err
+
 
 class TestSynth:
     def test_generate_and_analyze(self, tmp_path, capsys):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from sessionterms.corpus import (
@@ -8,7 +10,6 @@ from sessionterms.corpus import (
     ingest_trec_xml,
     merge,
     to_canonical_json,
-    with_qrels,
 )
 from sessionterms.textnorm import NormalizationConfig
 
@@ -195,7 +196,7 @@ class TestCanonicalJson:
         (docs / "doc-b").write_text("document body text")
         qrels_path = tmp_path / "qrels.txt"
         qrels_path.write_text("13 0 doc-b 3\n")
-        corpus = with_qrels(attach_documents(xml_corpus, docs), ingest_qrels(qrels_path))
+        corpus = replace(attach_documents(xml_corpus, docs), qrels=ingest_qrels(qrels_path))
         again = from_canonical_json(to_canonical_json(corpus))
         assert again == corpus
         assert again.docstore == {"doc-b": "document body text"}

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -164,9 +165,9 @@ class TestImpressionMetrics:
             [("no-topic", None, [make_impression(1, "q", plain_config, snippets=["s"])])],
             plain_config,
         )
-        from sessionterms.corpus import merge, with_qrels
+        from sessionterms.corpus import merge
 
-        combined = with_qrels(merge([eval_corpus, extra]), eval_corpus.qrels)
+        combined = replace(merge([eval_corpus, extra]), qrels=eval_corpus.qrels)
         assert metrics_by_position(combined)[0][4] == 1
 
 

@@ -198,10 +198,3 @@ class TestCollectionStats:
         stats = CollectionStats(kind=SourceKind.ALL_SNIPPETS, N=8, df={"a": 2}, avgdl=1.0)
         assert stats.idf_tfidf("a") == pytest.approx(math.log(4))
         assert stats.idf_tfidf("unseen") == 0.0
-
-    def test_json_is_deterministic(self):
-        stats = CollectionStats.from_bags(
-            [TermBag({"b": 1, "a": 2})], SourceKind.ALL_SNIPPETS
-        )
-        assert stats.to_json() == stats.to_json()
-        assert '"kind": "all_snippets"' in stats.to_json()
