@@ -15,8 +15,8 @@ from .textnorm import TermBag
 DEFAULT_MAX_POSITION = 9
 
 
-class EmptyInputError(Exception):
-    pass
+class EmptyInputError(ValueError):
+    """The input holds nothing an analysis can summarize."""
 
 
 @dataclass(frozen=True)

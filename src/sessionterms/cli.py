@@ -3,7 +3,8 @@ synthetic corpora. Reports are written as CSV plus Markdown mirrors;
 figure data series are emitted as CSV for external plotting.
 
 Exit codes: 0 success (including degraded runs with notices), 1
-analysis failure, 2 usage error.
+analysis failure, 2 usage or input error: a bad flag, a missing input
+file, malformed input, or input with nothing to analyze.
 """
 
 from __future__ import annotations
@@ -292,11 +293,13 @@ def main(argv=None) -> int:
                 defaults = json.load(f)
         except (OSError, json.JSONDecodeError) as exc:
             parser.error(f"cannot read --config {args.config}: {exc}")
+        if not isinstance(defaults, dict):
+            parser.error(f"--config {args.config} must hold a JSON object")
         args.parser.set_defaults(**{k.replace("-", "_"): v for k, v in defaults.items()})
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (IngestError, synthgen.SpecError) as exc:
+    except (IngestError, synthgen.SpecError, actions.EmptyInputError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (MissingDocstoreError, ValueError, OSError) as exc:

@@ -3,9 +3,16 @@
 Supports TREC Session Track style XML, 4-column qrels, a document-text
 sidecar directory and a versioned canonical JSON interchange format.
 Sessions, impressions, results and clicks are frozen dataclasses.
-`Corpus` is not: it is a plain mutable dataclass whose `doc_terms`
-fills a per-instance memo of normalized documents on first use, and a
-copy made with `dataclasses.replace` starts with an empty memo.
+`Corpus` is not: it is a plain mutable dataclass that fills three
+per-instance memos on first use, so its fields must not change after
+that:
+
+- `doc_terms`: the normalized bag of each sidecar document;
+- `session_by_id`: an index of sessions by id;
+- `similarity.build_stats`: the collection statistics of each source
+  kind.
+
+A copy made with `dataclasses.replace` starts with empty memos.
 """
 
 from __future__ import annotations
@@ -110,10 +117,12 @@ class Corpus:
     incomplete_impressions: frozenset = frozenset()
 
     def session_by_id(self, session_id):
-        for s in self.sessions:
-            if s.id == session_id:
-                return s
-        raise KeyError(session_id)
+        """The first session with this id; KeyError if there is none."""
+        index = self.__dict__.get("_session_index")
+        if index is None:
+            index = {s.id: s for s in reversed(self.sessions)}
+            self.__dict__["_session_index"] = index
+        return index[session_id]
 
     def doc_terms(self, docid) -> TermBag | None:
         """Normalized term bag of a sidecar document, or None if absent.
@@ -176,6 +185,18 @@ def _query_text(interaction):
     return query.text or ""
 
 
+def _number(convert, value, session_id, attribute):
+    """`convert(value)`, or an IngestError naming the session and the
+    attribute."""
+    try:
+        return convert(value)
+    except ValueError:
+        raise IngestError(
+            f"session {session_id!r}: {attribute} {value!r} is not "
+            + ("an integer" if convert is int else "a number")
+        ) from None
+
+
 def _parse_result(result, session_id, config):
     rank = result.get("rank")
     if rank is None:
@@ -191,7 +212,7 @@ def _parse_result(result, session_id, config):
             if docid:
                 break
     return SnippetEntry(
-        rank=int(rank),
+        rank=_number(int, rank, session_id, "result rank"),
         url=_text(result, "url"),
         docid=docid,
         title=title,
@@ -214,10 +235,10 @@ def _parse_click(click, order, session_id):
         raise IngestError(f"session {session_id!r}: click missing rank")
     num = click.get("num")
     return ClickEvent(
-        rank=int(rank),
-        order=int(num) if num is not None else order,
-        start_time=float(start),
-        end_time=float(end),
+        rank=_number(int, rank, session_id, "click rank"),
+        order=_number(int, num, session_id, "click num") if num is not None else order,
+        start_time=_number(float, start, session_id, "click starttime"),
+        end_time=_number(float, end, session_id, "click endtime"),
     )
 
 

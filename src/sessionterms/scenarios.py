@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .actions import EmptyInputError
 from .report import ReportTable
 from .sources import DROP, SourceKind, extract_source, predecessor_impression
 
@@ -124,7 +125,7 @@ def scenario_distribution(records) -> ReportTable:
     """Occurrence percentage, mean ranked documents and mean clicks per
     scenario, split by query-term and added-term origin."""
     if not records:
-        raise ValueError("scenario_distribution requires at least one record")
+        raise EmptyInputError("scenario_distribution requires at least one record")
     columns = [
         "query_pct", "query_docs", "query_clicks",
         "added_pct", "added_docs", "added_clicks",

@@ -5,8 +5,11 @@ cosine, TFIDF cosine and BM25, plus per-source-kind collection statistics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from enum import Enum
+from itertools import repeat
+from operator import mul
 
 from .textnorm import TermBag
 
@@ -38,33 +41,47 @@ class MissingDocstoreError(Exception):
     """A document source kind was requested without an attached docstore."""
 
 
+class _IdfByDf(dict):
+    """ln(N/df) keyed by df, each computed on first lookup; 0 for df 0.
+    There are far fewer distinct df values than terms."""
+
+    def __init__(self, n):
+        super().__init__()
+        self.n = n
+
+    def __missing__(self, df):
+        idf = self[df] = math.log(self.n / df) if df >= 1 else 0.0
+        return idf
+
+
 @dataclass
 class CollectionStats:
-    """Per-source-kind collection statistics for IDF and length norms."""
+    """Per-source-kind collection statistics for IDF and length norms.
+    TFIDF idf values are memoized, so `N` must not change."""
 
     kind: SourceKind
     N: int
     df: dict
     avgdl: float
+    _tfidf_idf: _IdfByDf = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._tfidf_idf = _IdfByDf(self.N)
 
     @classmethod
     def from_bags(cls, bags, kind):
-        df = {}
+        df = Counter()
         total_len = 0
         n = 0
         for bag in bags:
             n += 1
             total_len += bag.length
-            for term in bag.counts:
-                df[term] = df.get(term, 0) + 1
+            df.update(bag.counts.keys())
         return cls(kind=kind, N=n, df=df, avgdl=total_len / n if n else 0.0)
 
     def idf_tfidf(self, term):
         """Plain ln(N/df); 0 for unseen terms."""
-        df = self.df.get(term, 0)
-        if df < 1:
-            return 0.0
-        return math.log(self.N / df)
+        return self._tfidf_idf[self.df.get(term, 0)]
 
     def idf_bm25(self, term):
         """Non-negative (Lucene-style) BM25 idf."""
@@ -77,10 +94,15 @@ def build_stats(corpus, kind: SourceKind) -> CollectionStats:
 
     One "document" per term-source instance across the corpus (each
     snippet, each document, each impression, each historical prefix).
+    Memoized per corpus and kind, so every analysis of one corpus shares
+    one stats object per kind; treat it as read-only.
     """
     from .sources import iter_source_instances  # deferred to avoid a cycle
 
-    return CollectionStats.from_bags(iter_source_instances(corpus, kind), kind)
+    cache = corpus.__dict__.setdefault("_stats_cache", {})
+    if kind not in cache:
+        cache[kind] = CollectionStats.from_bags(iter_source_instances(corpus, kind), kind)
+    return cache[kind]
 
 
 def jaccard(a: set, b: set) -> float:
@@ -105,15 +127,25 @@ def cosine_tf(a: TermBag, b: TermBag) -> float:
     return dot / (norm_a * norm_b)
 
 
+def _tfidf_weights(counts, stats):
+    """tf * ln(N/df) of each term of a bag's counts, in bag order."""
+    idf = map(stats._tfidf_idf.__getitem__, map(stats.df.get, counts, repeat(0)))
+    return list(map(mul, counts.values(), idf))
+
+
 def cosine_tfidf(a: TermBag, b: TermBag, stats: CollectionStats) -> float:
     """Cosine over tf*idf weighted vectors; 0.0 on a zero-norm vector."""
     if not a.counts or not b.counts:
         return 0.0
-    wa = {t: c * stats.idf_tfidf(t) for t, c in a.counts.items()}
-    wb = {t: c * stats.idf_tfidf(t) for t, c in b.counts.items()}
-    dot = sum(w * wb.get(t, 0.0) for t, w in wa.items())
-    norm_a = math.sqrt(sum(w * w for w in wa.values()))
-    norm_b = math.sqrt(sum(w * w for w in wb.values()))
+    wa = _tfidf_weights(a.counts, stats)
+    wb = _tfidf_weights(b.counts, stats)
+    b_counts = b.counts
+    dot = sum(
+        w * (b_counts[t] * stats.idf_tfidf(t) if t in b_counts else 0.0)
+        for t, w in zip(a.counts, wa)
+    )
+    norm_a = math.sqrt(sum(map(mul, wa, wa)))
+    norm_b = math.sqrt(sum(map(mul, wb, wb)))
     if norm_a == 0.0 or norm_b == 0.0:
         return 0.0
     return dot / (norm_a * norm_b)

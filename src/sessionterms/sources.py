@@ -6,6 +6,7 @@ with significance marks, historical terms and dwell-time thresholds.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -88,29 +89,36 @@ def extract_source(impression, kind: SourceKind, corpus) -> TermSourceView:
         bags, missing = _doc_bags(corpus, docids)
         return TermSourceView(kind, bags, missing)
     if kind is SourceKind.IMPRESSION:
-        merged = TermBag()
-        for r in impression.results:
-            merged = merged.add(r.terms)
+        bags = [r.terms for r in impression.results]
         missing = []
         if corpus.docstore:
             clicked_docids = [r.docid for r in impression.results if r.rank in clicked]
-            bags, missing = _doc_bags(corpus, clicked_docids)
-            for bag in bags:
-                merged = merged.add(bag)
+            doc_bags, missing = _doc_bags(corpus, clicked_docids)
+            bags += doc_bags
         elif clicked:
             missing = [r.docid for r in impression.results if r.rank in clicked]
-        return TermSourceView(kind, [merged], missing)
+        return TermSourceView(kind, [TermBag.union(bags)], missing)
     raise ValueError(f"extract_source does not handle {kind}; see historical_terms")
+
+
+def _historical_prefixes(corpus, session):
+    """Yield (impression-kind view, historical bag through it) for each
+    impression of a session in order: prefix n is prefix n-1 plus
+    impression n's bag. A test query has no view and adds nothing."""
+    merged = TermBag()
+    for imp in session.impressions:
+        view = None
+        if not imp.is_test_query:
+            view = extract_source(imp, SourceKind.IMPRESSION, corpus)
+            merged = merged.add(view.instances[0])
+        yield view, merged
 
 
 def historical_terms(corpus, session, n: int) -> TermBag:
     """Count-summed union of impression-kind bags for positions 1..n."""
     merged = TermBag()
-    for imp in session.impressions[:n]:
-        if imp.is_test_query:
-            continue
-        view = extract_source(imp, SourceKind.IMPRESSION, corpus)
-        merged = merged.add(view.instances[0])
+    for _, merged in islice(_historical_prefixes(corpus, session), n):
+        pass
     return merged
 
 
@@ -118,10 +126,9 @@ def iter_source_instances(corpus, kind: SourceKind):
     """All instances of a source kind across the corpus (for stats)."""
     if kind is SourceKind.HISTORICAL:
         for session in corpus.sessions:
-            for imp in session.impressions:
-                if imp.is_test_query:
-                    continue
-                yield historical_terms(corpus, session, imp.position)
+            for view, merged in _historical_prefixes(corpus, session):
+                if view is not None:
+                    yield merged
         return
     if kind in DOCUMENT_KINDS and not corpus.docstore:
         raise MissingDocstoreError(f"{kind.value} requires an attached docstore")
@@ -238,52 +245,70 @@ SOURCE_ROWS = [
 _SIGNIFICANCE_PAIRS = {"cs": ("ncs", "s(M)"), "cd": ("ncd", "ad")}
 
 
-def _base_stats_kind(kind):
-    if kind in SNIPPET_KINDS:
-        return SourceKind.ALL_SNIPPETS
-    if kind in DOCUMENT_KINDS:
-        return SourceKind.ALL_DOCUMENTS
-    return kind
-
-
 def source_comparison(pairs, corpus, docstore_policy: str = DROP,
                       k1: float = 1.2, b: float = 0.75,
                       alpha: float = 0.01) -> ReportTable:
     """Mean added-term similarity per term source with Welch's t-test
     marks on the clicked variants; document rows are omitted (with a
-    footnote) when no docstore is attached."""
+    footnote) when no docstore is attached.
+
+    Each pair scores the predecessor's snippets, and its documents that
+    are present, once; the clicked and non-clicked rows are row subsets
+    of those scores. Impression and historical bags are built once per
+    session, which keeps only its own."""
     has_docs = bool(corpus.docstore)
     if has_docs:
         rows = list(SOURCE_ROWS)
+        kinds = [SourceKind.ALL_SNIPPETS, SourceKind.ALL_DOCUMENTS,
+                 SourceKind.IMPRESSION, SourceKind.HISTORICAL]
     else:
         rows = [(label, kind) for label, kind in SOURCE_ROWS if kind in SNIPPET_KINDS]
-    stats_cache = {}
+        kinds = [SourceKind.ALL_SNIPPETS]
+    stats = {kind: build_stats(corpus, kind) for kind in kinds}
+    drop_incomplete = docstore_policy != EMPTY
 
-    def stats_for(kind):
-        base = _base_stats_kind(kind)
-        if base not in stats_cache:
-            stats_cache[base] = build_stats(corpus, base)
-        return stats_cache[base]
-
-    # per row label: list of (pair_index, terms, jaccard, cosine, bm25)
+    # per row label: list of per-pair mean (terms, jaccard, cosine, bm25)
     samples = {label: [] for label, _ in rows}
+
+    def add_sample(label, scores):
+        if len(scores):
+            samples[label].append(scores.mean(axis=0))
+
+    session_id, session_bags = None, None
     for pair in pairs:
         imp = predecessor_impression(corpus, pair)
         if not imp.results:
             continue
-        session = corpus.session_by_id(pair.session_id)
-        for label, kind in rows:
-            stats = stats_for(kind)
-            if kind is SourceKind.HISTORICAL:
-                instances = [historical_terms(corpus, session, pair.position)]
-                ok = True
-            else:
-                view = extract_source(imp, kind, corpus)
-                instances = view.instances
-                ok = view.complete or docstore_policy == EMPTY
-            if not ok or not instances:
+        clicked_ranks = imp.clicked_ranks
+        clicked = np.array([r.rank in clicked_ranks for r in imp.results])
+        snippets = _similarities(
+            pair, [r.terms for r in imp.results], stats[SourceKind.ALL_SNIPPETS], k1, b
+        )
+        add_sample("s(M)", snippets)
+        add_sample("cs", snippets[clicked])
+        add_sample("ncs", snippets[~clicked])
+        if not has_docs:
+            continue
+        bags = [corpus.doc_terms(r.docid) for r in imp.results]
+        present = np.array([bag is not None for bag in bags])
+        docs = _similarities(
+            pair, [bag for bag in bags if bag is not None], stats[SourceKind.ALL_DOCUMENTS], k1, b
+        )
+        for label, chosen in (("ad", np.ones_like(clicked)), ("cd", clicked), ("ncd", ~clicked)):
+            if drop_incomplete and not present[chosen].all():
                 continue
-            samples[label].append(_similarities(pair, instances, stats, k1, b).mean(axis=0))
+            add_sample(label, docs[chosen[present]])
+        if pair.session_id != session_id:
+            session_id = pair.session_id
+            session_bags = list(_historical_prefixes(corpus, corpus.session_by_id(session_id)))
+        view, historical = session_bags[pair.position - 1]
+        if view.complete or not drop_incomplete:
+            add_sample(
+                "impression", _similarities(pair, view.instances, stats[SourceKind.IMPRESSION], k1, b)
+            )
+        add_sample(
+            "historical", _similarities(pair, [historical], stats[SourceKind.HISTORICAL], k1, b)
+        )
 
     columns = ["terms", "jaccard", "cosine", "bm25"]
     table = ReportTable(title="Added-term similarity by term source", columns=columns)

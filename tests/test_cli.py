@@ -217,6 +217,81 @@ class TestAnalyze:
         assert "Traceback" not in err
 
 
+ONE_QUERY_XML = """<sessions>
+  <session num="1">
+    <interaction>
+      <currentquery>gun control</currentquery>
+      <results>
+        <result rank="1"><url>u</url><docid>dA</docid><title>t</title>
+          <snippet>gun control news</snippet></result>
+      </results>
+    </interaction>
+  </session>
+</sessions>
+"""
+
+
+def _bad_xml(old, new):
+    """Ingest SESSION_XML with its first `old` replaced by `new`."""
+    def argv(workspace):
+        (workspace / "sessions.xml").write_text(SESSION_XML.replace(old, new, 1))
+        return ["ingest", "--trec-xml", str(workspace / "sessions.xml"),
+                "--out", str(workspace / "corpus.json")]
+    return argv
+
+
+def _zero_pairs(analysis):
+    """Run an analysis on a corpus of one single-query session."""
+    def argv(workspace):
+        (workspace / "one.xml").write_text(ONE_QUERY_XML)
+        assert main(["ingest", "--trec-xml", str(workspace / "one.xml"),
+                     "--out", str(workspace / "one.json")]) == 0
+        return ["analyze", analysis, "--corpus", str(workspace / "one.json"),
+                "--out-dir", str(workspace / "reports")]
+    return argv
+
+
+def _config_not_object(workspace):
+    run_ingest(workspace)
+    (workspace / "defaults.json").write_text("[1]")
+    return ["analyze", "pairs", "--corpus", str(workspace / "corpus.json"),
+            "--config", str(workspace / "defaults.json")]
+
+
+EXIT_2_CASES = {
+    "config-json-array": _config_not_object,
+    "result-rank-not-integer": _bad_xml('rank="1"', 'rank="x"'),
+    "click-rank-not-integer": _bad_xml("<rank>2</rank>", "<rank>two</rank>"),
+    "click-num-not-integer": _bad_xml("<click ", '<click num="first" '),
+    "click-starttime-not-number": _bad_xml('starttime="0"', 'starttime="noon"'),
+    "click-endtime-not-number": _bad_xml('endtime="30"', 'endtime="later"'),
+    "pairs-on-zero-pairs": _zero_pairs("pairs"),
+    "scenarios-on-zero-pairs": _zero_pairs("scenarios"),
+    "missing-corpus-file": lambda workspace: [
+        "analyze", "pairs", "--corpus", str(workspace / "missing.json"),
+        "--out-dir", str(workspace / "reports"),
+    ],
+    "missing-xml-file": lambda workspace: [
+        "ingest", "--trec-xml", str(workspace / "missing.xml"),
+        "--out", str(workspace / "corpus.json"),
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXIT_2_CASES))
+def test_bad_input_exits_2_with_one_error_line(case, workspace, capsys):
+    argv = EXIT_2_CASES[case](workspace)
+    capsys.readouterr()
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse usage errors
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert "Traceback" not in err
+    assert len([line for line in err.splitlines() if "error:" in line]) == 1, err
+
+
 class TestSynth:
     def test_generate_and_analyze(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"

@@ -125,6 +125,13 @@ class TestIngestXml:
         with pytest.raises(IngestError, match="40"):
             ingest_trec_xml(path, NormalizationConfig())
 
+    def test_non_numeric_rank_names_session_and_attribute(self, tmp_path):
+        xml = SESSION_XML.replace('rank="1"', 'rank="first"', 1)
+        path = tmp_path / "wordrank.xml"
+        path.write_text(xml)
+        with pytest.raises(IngestError, match="session '40': result rank 'first' is not an integer"):
+            ingest_trec_xml(path, NormalizationConfig())
+
     def test_click_rank_outside_ranking_rejected(self, tmp_path):
         xml = SESSION_XML.replace("<rank>2</rank>", "<rank>9</rank>")
         path = tmp_path / "badrank.xml"
@@ -227,3 +234,23 @@ class TestValidation:
         b = make_corpus([("x", None, [imp])], plain_config)
         merged = merge([a, b])
         assert {s.id for s in merged.sessions} == {"x", "1:x"}
+
+
+class TestSessionLookup:
+    def test_session_by_id(self, plain_config):
+        imp = make_impression(1, "q", plain_config, snippets=["s"])
+        corpus = make_corpus([("x", None, [imp]), ("y", "t", [imp])], plain_config)
+        assert [corpus.session_by_id(s) for s in ("y", "x")] == [
+            corpus.sessions[1], corpus.sessions[0]
+        ]
+        with pytest.raises(KeyError):
+            corpus.session_by_id("z")
+
+    def test_replace_copy_indexes_its_own_sessions(self, plain_config):
+        imp = make_impression(1, "q", plain_config, snippets=["s"])
+        corpus = make_corpus([("x", None, [imp])], plain_config)
+        corpus.session_by_id("x")
+        renamed = replace(corpus, sessions=(replace(corpus.sessions[0], id="w"),))
+        assert renamed.session_by_id("w").id == "w"
+        with pytest.raises(KeyError):
+            renamed.session_by_id("x")

@@ -1,5 +1,6 @@
-"""Golden report check: `ingest` plus the five `analyze` commands on a
-fixed synthetic log must write exactly the recorded bytes.
+"""Golden report check: `ingest` plus the five `analyze` commands, and
+`analyze sources --docstore-policy empty`, on a fixed synthetic log must
+write exactly the recorded bytes.
 
 Each command runs in its own process with PYTHONHASHSEED=0, as a user
 would run it; several report values are float sums taken in set order,
@@ -12,6 +13,8 @@ import os
 import subprocess
 import sys
 from xml.sax.saxutils import escape, quoteattr
+
+import pytest
 
 from sessionterms.synthgen import GeneratorSpec, generate
 
@@ -49,6 +52,17 @@ GOLDEN = {
     "similarity_by_position.csv": "212ee6f05c60282fbc494d90c67251fffac704a1c18c6193b50a89d6991b0850",
     "source_comparison.csv": "f9786924b938dbfed65b7b134586e67d4e2511fbb36d2a7eebec43969a53ec66",
     "source_comparison.md": "bec129e5f277c2e21c07ee13e6c306b8ee8d1ecd2866df8ee69fdae2617339b7",
+}
+
+# `analyze sources --docstore-policy empty` on the same corpus.
+GOLDEN_EMPTY = {
+    "dwell_thresholds.csv": "f9d45db9410441386feaa4a20b1e2b0dec34197fc40153e40c242052d2c191f9",
+    "last_click.csv": "8fd3c4e2cbbb83c6a5fd768115c7ade55d56c7686cad898af49f353ee1cf3d27",
+    "last_click.md": "06a4eb8f08afe3772c061eff3676e0bb2907d83b76c2b23c32103b82a5cbd20b",
+    "rank_prefix.csv": "1d131410b796bc3b8570fbb0cb7ad1589f95a9b0246e5868ca875458cafda8ab",
+    "rank_prefix.md": "3f2a64753e04adc02ead28d4ebed8b25d65c7c4d16ec18024af0dfdb00ae6bc7",
+    "source_comparison.csv": "405d06ace32689d77d92542ffca35a9f87d8f20ed6c0181e4dc0be3be258f5ac",
+    "source_comparison.md": "9b608f5de7bc3237d900f293d1219bf4defc2f8fe1458aade32c23212e401e92",
 }
 
 
@@ -108,27 +122,48 @@ def write_inputs(directory):
                 f.write(text)
 
 
-def run_pipeline(directory):
-    """sha256 of the corpus JSON and of every report file."""
+def _sessionterms(directory, *command):
     env = dict(os.environ, PYTHONHASHSEED="0")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    corpus = os.path.join(directory, "corpus.json")
-    reports = os.path.join(directory, "reports")
-    commands = [["ingest", "--trec-xml", "sessions.xml", "--qrels", "qrels.txt",
-                 "--docs", "docs", "--out", corpus]]
-    commands += [["analyze", a, "--corpus", corpus, "--out-dir", reports] for a in ANALYSES]
-    for command in commands:
-        proc = subprocess.run([sys.executable, "-m", "sessionterms.cli", *command],
-                              cwd=directory, env=env, capture_output=True, text=True,
-                              timeout=120)
-        assert proc.returncode == 0, proc.stderr
+    proc = subprocess.run([sys.executable, "-m", "sessionterms.cli", *command],
+                          cwd=directory, env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def _digests(paths):
     digests = {}
-    for path in [corpus] + [os.path.join(reports, n) for n in sorted(os.listdir(reports))]:
+    for path in paths:
         with open(path, "rb") as f:
             digests[os.path.basename(path)] = hashlib.sha256(f.read()).hexdigest()
     return digests
 
 
-def test_reports_match_golden_digests(tmp_path):
-    write_inputs(str(tmp_path))
-    assert run_pipeline(str(tmp_path)) == GOLDEN
+def _listing(directory):
+    return [os.path.join(directory, n) for n in sorted(os.listdir(directory))]
+
+
+@pytest.fixture(scope="module")
+def ingested(tmp_path_factory):
+    """Directory holding the inputs and the ingested corpus.json."""
+    directory = str(tmp_path_factory.mktemp("golden"))
+    write_inputs(directory)
+    _sessionterms(directory, "ingest", "--trec-xml", "sessions.xml", "--qrels", "qrels.txt",
+                  "--docs", "docs", "--out", "corpus.json")
+    return directory
+
+
+def test_reports_match_golden_digests(ingested):
+    for analysis in ANALYSES:
+        _sessionterms(ingested, "analyze", analysis, "--corpus", "corpus.json",
+                      "--out-dir", "reports")
+    corpus = os.path.join(ingested, "corpus.json")
+    assert _digests([corpus] + _listing(os.path.join(ingested, "reports"))) == GOLDEN
+
+
+def test_docstore_policy_empty_matches_golden_digests(ingested):
+    """Under `empty` the missing clicked document leaves its rows in,
+    scored on the documents that are present."""
+    _sessionterms(ingested, "analyze", "sources", "--corpus", "corpus.json",
+                  "--docstore-policy", "empty", "--out-dir", "reports_empty")
+    assert _digests(_listing(os.path.join(ingested, "reports_empty"))) == GOLDEN_EMPTY

@@ -20,6 +20,24 @@ def random_bag(rng, vocab, max_terms=6, max_count=4):
     return TermBag({t: rng.randint(1, max_count) for t in terms})
 
 
+def loop_cosine_tfidf(a, b, stats):
+    """TFIDF cosine written out term by term, idf recomputed each time."""
+    def idf(t):
+        df = stats.df.get(t, 0)
+        return math.log(stats.N / df) if df >= 1 else 0.0
+
+    if not a.counts or not b.counts:
+        return 0.0
+    wa = {t: c * idf(t) for t, c in a.counts.items()}
+    wb = {t: c * idf(t) for t, c in b.counts.items()}
+    dot = sum(w * wb.get(t, 0.0) for t, w in wa.items())
+    norm_a = math.sqrt(sum(w * w for w in wa.values()))
+    norm_b = math.sqrt(sum(w * w for w in wb.values()))
+    if norm_a == 0.0 or norm_b == 0.0:
+        return 0.0
+    return dot / (norm_a * norm_b)
+
+
 class TestJaccard:
     def test_session40_reformulation_value(self):
         config = NormalizationConfig()
@@ -137,6 +155,18 @@ class TestCosineTfidf:
             s = cosine_tfidf(a, b, stats)
             assert s == pytest.approx(cosine_tfidf(b, a, stats), abs=1e-12)
             assert -1e-12 <= s <= 1.0 + 1e-12
+
+    def test_equals_term_by_term_loop_exactly(self):
+        # same arithmetic in the same order, so the floats are identical
+        rng = random.Random(8)
+        vocab = [f"t{i}" for i in range(30)]
+        stats = CollectionStats.from_bags(
+            [random_bag(rng, vocab, max_terms=12) for _ in range(40)], SourceKind.ALL_DOCUMENTS
+        )
+        for _ in range(300):
+            a = random_bag(rng, vocab + ["unseen"], max_terms=4)
+            b = random_bag(rng, vocab + ["unseen"], max_terms=20, max_count=9)
+            assert cosine_tfidf(a, b, stats) == loop_cosine_tfidf(a, b, stats)
 
 
 class TestBm25:

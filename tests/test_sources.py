@@ -1,8 +1,23 @@
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
+from sessionterms import sources
 from sessionterms.actions import extract_pairs
-from sessionterms.similarity import MissingDocstoreError, SourceKind
+from sessionterms.similarity import (
+    DOCUMENT_KINDS,
+    SNIPPET_KINDS,
+    CollectionStats,
+    MissingDocstoreError,
+    SourceKind,
+    build_stats,
+)
 from sessionterms.sources import (
+    EMPTY,
+    SOURCE_ROWS,
+    _historical_prefixes,
+    _similarities,
     dwell_threshold_curve,
     extract_source,
     historical_terms,
@@ -106,6 +121,114 @@ class TestHistorical:
         corpus = make_corpus([("x", None, [imp1, imp2])], plain_config)
         h = historical_terms(corpus, corpus.sessions[0], 2)
         assert h.counts["w"] == 3
+
+
+def synth_corpus(session_length=5, sessions=6):
+    """A synthgen corpus with test queries and one clicked document
+    missing from its docstore."""
+    corpus = generate(GeneratorSpec(seed=31, sessions=sessions, session_length=session_length,
+                                    click_prob=0.6, with_test_query=True))
+    missing = next(imp.result_at(imp.clicks[0].rank).docid
+                   for session in corpus.sessions for imp in session.impressions
+                   if imp.clicks)
+    docstore = {d: text for d, text in corpus.docstore.items() if d != missing}
+    return replace(corpus, docstore=docstore)
+
+
+def chained_historical(corpus, session, n):
+    """The historical bag by its definition: the impression bags of the
+    non-test queries at positions 1..n, chained with `add`."""
+    merged = TermBag()
+    for imp in session.impressions[:n]:
+        if not imp.is_test_query:
+            merged = merged.add(extract_source(imp, SourceKind.IMPRESSION, corpus).instances[0])
+    return merged
+
+
+class TestSharedSourceWork:
+    def test_prefixes_match_definition_at_every_position(self):
+        corpus = synth_corpus()
+        assert any(s.has_test_query for s in corpus.sessions)
+        for session in corpus.sessions:
+            prefixes = [merged for _, merged in _historical_prefixes(corpus, session)]
+            assert len(prefixes) == len(session.impressions)
+            for n, merged in enumerate(prefixes, start=1):
+                expected = chained_historical(corpus, session, n)
+                # same counts in the same term order, so float sums agree
+                assert list(merged.counts.items()) == list(expected.counts.items())
+                assert historical_terms(corpus, session, n) == merged
+
+    def test_historical_stats_match_stats_of_historical_terms(self):
+        corpus = synth_corpus()
+        direct = CollectionStats.from_bags(
+            [historical_terms(corpus, session, imp.position)
+             for session in corpus.sessions for imp in session.impressions
+             if not imp.is_test_query],
+            SourceKind.HISTORICAL,
+        )
+        stats = build_stats(corpus, SourceKind.HISTORICAL)
+        assert (stats.N, stats.df, stats.avgdl) == (direct.N, direct.df, direct.avgdl)
+
+    def test_build_stats_is_memoized_per_corpus(self):
+        corpus = synth_corpus()
+        stats = build_stats(corpus, SourceKind.ALL_SNIPPETS)
+        assert build_stats(corpus, SourceKind.ALL_SNIPPETS) is stats
+        copy = replace(corpus)
+        assert "_stats_cache" not in copy.__dict__
+        fresh = build_stats(copy, SourceKind.ALL_SNIPPETS)
+        assert fresh is not stats
+        assert (fresh.N, fresh.df, fresh.avgdl) == (stats.N, stats.df, stats.avgdl)
+
+    @pytest.mark.parametrize("policy", ["drop", "empty"])
+    def test_source_comparison_equals_per_row_scoring_exactly(self, policy):
+        """Every row scored from its own extracted instances, as the
+        definition reads; the row subsets of shared scores must give the
+        same floats."""
+        corpus = synth_corpus(sessions=10)
+        pairs = extract_pairs(corpus)
+        samples = {label: [] for label, _ in SOURCE_ROWS}
+        for pair in pairs:
+            imp = sources.predecessor_impression(corpus, pair)
+            if not imp.results:
+                continue
+            session = corpus.session_by_id(pair.session_id)
+            for label, kind in SOURCE_ROWS:
+                base = (SourceKind.ALL_SNIPPETS if kind in SNIPPET_KINDS
+                        else SourceKind.ALL_DOCUMENTS if kind in DOCUMENT_KINDS else kind)
+                if kind is SourceKind.HISTORICAL:
+                    instances, ok = [chained_historical(corpus, session, pair.position)], True
+                else:
+                    view = extract_source(imp, kind, corpus)
+                    instances, ok = view.instances, view.complete or policy == EMPTY
+                if ok and instances:
+                    scores = _similarities(pair, instances, build_stats(corpus, base), 1.2, 0.75)
+                    samples[label].append(scores.mean(axis=0))
+        table = source_comparison(pairs, corpus, policy)
+        assert set(table.rows) == {label for label, rows in samples.items() if rows}
+        for label in table.rows:
+            rows = samples[label]
+            means = np.asarray(rows, dtype=float)
+            for i, col in enumerate(["terms", "jaccard", "cosine", "bm25"]):
+                assert table.value(label, col) == float(means[:, i].mean())
+                assert table.get(label, col).population == len(rows)
+
+    @pytest.mark.parametrize("session_length", [6, 12])
+    def test_source_comparison_builds_linear_impression_bags(self, session_length, monkeypatch):
+        corpus = synth_corpus(session_length=session_length, sessions=1)
+        built = []
+        extract = sources.extract_source
+
+        def counting(imp, kind, corpus):
+            if kind is SourceKind.IMPRESSION:
+                built.append(imp.position)
+            return extract(imp, kind, corpus)
+
+        monkeypatch.setattr(sources, "extract_source", counting)
+        source_comparison(extract_pairs(corpus), corpus)
+        # One bag per impression for each of: the impression stats, the
+        # historical stats, and the session's impression and historical
+        # bags. Rebuilding each prefix from scratch is quadratic.
+        assert len(built) <= 3 * session_length
 
 
 class TestLastClick:
