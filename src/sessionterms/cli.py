@@ -3,8 +3,9 @@ synthetic corpora. Reports are written as CSV plus Markdown mirrors;
 figure data series are emitted as CSV for external plotting.
 
 Exit codes: 0 success (including degraded runs with notices), 1
-analysis failure, 2 usage or input error: a bad flag, a missing input
-file, malformed input, or input with nothing to analyze.
+analysis failure, 2 usage or input error: a bad flag (flag values are
+checked before any report is written, also those read from --config), a
+missing input file, malformed input, or input with nothing to analyze.
 """
 
 from __future__ import annotations
@@ -49,6 +50,40 @@ def _normalization_config(args) -> NormalizationConfig:
         stemming_enabled=not args.no_stem,
         keep_numeric_tokens=not args.drop_numeric,
     )
+
+
+def _positive_int(text) -> int:
+    """argparse type of a count: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _thresholds(text) -> list:
+    """argparse type of --dwell-thresholds: comma-separated numbers."""
+    try:
+        return [float(t) for t in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {text!r}"
+        ) from None
+
+
+def _config_default(parser, dest, value):
+    """A --config value as argparse should see it: a boolean for an
+    on/off flag, else text. argparse applies an option's `type` only to
+    string defaults, so numbers are passed as text and a config value is
+    checked as the same flag typed on the command line would be."""
+    if isinstance(parser.get_default(dest), bool):
+        if isinstance(value, bool):
+            return value
+    elif isinstance(value, (str, int, float)) and not isinstance(value, bool):
+        return str(value)
+    parser.error(f"--config: invalid value {value!r} for {dest}")
 
 
 def _load_corpus(path) -> Corpus:
@@ -186,9 +221,9 @@ def cmd_analyze(args) -> int:
             "source_comparison", args, corpus,
         )
         if corpus.docstore:
-            thresholds = [float(t) for t in args.dwell_thresholds.split(",")]
             _write_series(
-                sources.dwell_threshold_curve(pairs, corpus, thresholds, args.docstore_policy),
+                sources.dwell_threshold_curve(pairs, corpus, args.dwell_thresholds,
+                                              args.docstore_policy),
                 ["threshold", "mean_cosine", "surviving_docs"],
                 "dwell_thresholds", args, corpus,
             )
@@ -263,11 +298,12 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--include-test-queries", action="store_true")
     analyze.add_argument("--k1", type=float, default=1.2)
     analyze.add_argument("--b", type=float, default=0.75)
-    analyze.add_argument("--k-max", type=int, default=5)
-    analyze.add_argument("--max-position", type=int, default=9)
-    analyze.add_argument("--cutoff", type=int, default=10)
+    analyze.add_argument("--k-max", type=_positive_int, default=5)
+    analyze.add_argument("--max-position", type=_positive_int, default=9)
+    analyze.add_argument("--cutoff", type=_positive_int, default=10)
     analyze.add_argument(
-        "--dwell-thresholds", default=",".join(map(str, sources.DEFAULT_DWELL_THRESHOLDS))
+        "--dwell-thresholds", type=_thresholds,
+        default=",".join(map(str, sources.DEFAULT_DWELL_THRESHOLDS)),
     )
     analyze.add_argument("--docstore-policy", choices=["drop", "empty"], default="drop")
     analyze.add_argument("--strict", action="store_true")
@@ -295,7 +331,9 @@ def main(argv=None) -> int:
             parser.error(f"cannot read --config {args.config}: {exc}")
         if not isinstance(defaults, dict):
             parser.error(f"--config {args.config} must hold a JSON object")
-        args.parser.set_defaults(**{k.replace("-", "_"): v for k, v in defaults.items()})
+        for key, value in defaults.items():
+            dest = key.replace("-", "_")
+            args.parser.set_defaults(**{dest: _config_default(args.parser, dest, value)})
     args = parser.parse_args(argv)
     try:
         return args.func(args)

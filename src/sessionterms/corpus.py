@@ -13,6 +13,10 @@ that:
   kind.
 
 A copy made with `dataclasses.replace` starts with empty memos.
+
+`RelevanceJudgments` indexes its judgments by topic at construction
+(each topic's grades and relevant count), so its `grades` must not
+change after that; build a new object for other judgments.
 """
 
 from __future__ import annotations
@@ -85,20 +89,30 @@ class Session:
 
 
 class RelevanceJudgments:
-    """Graded judgments keyed by (topic_id, docid); unjudged pairs grade 0."""
+    """Graded judgments keyed by (topic_id, docid); unjudged pairs grade 0.
+
+    Each topic's judged grades, sorted descending, and its relevant
+    count (grade > 0) are indexed at construction, so `grades` must not
+    change after that.
+    """
 
     def __init__(self, grades=None):
         self.grades = dict(grades or {})
+        pools = {}
+        for (topic_id, _), grade in self.grades.items():
+            pools.setdefault(topic_id, []).append(grade)
+        self._pools = {t: sorted(pool, reverse=True) for t, pool in pools.items()}
+        self._relevant_counts = {t: sum(1 for g in pool if g > 0) for t, pool in pools.items()}
 
     def grade(self, topic_id, docid):
         return self.grades.get((topic_id, docid), 0)
 
     def topic_pool(self, topic_id):
-        """All judged grades for a topic."""
-        return [g for (t, _), g in self.grades.items() if t == topic_id]
+        """All judged grades for a topic, sorted descending."""
+        return list(self._pools.get(topic_id, ()))
 
     def topic_relevant_count(self, topic_id):
-        return sum(1 for (t, _), g in self.grades.items() if t == topic_id and g > 0)
+        return self._relevant_counts.get(topic_id, 0)
 
     def __len__(self):
         return len(self.grades)

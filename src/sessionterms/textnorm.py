@@ -159,11 +159,20 @@ def tokenize(text: str, keep_numeric_tokens: bool = True):
     return tokens
 
 
+# Porter stem of each ASCII word seen. Tokens with digits or non-ASCII
+# characters never enter it: they pass through unstemmed, and synthetic
+# logs hold hundreds of thousands of distinct ones.
+_STEMS = {}
+
+
 def stem(token: str) -> str:
     """Porter-stem an ASCII token; non-ASCII tokens pass through."""
-    if _ASCII_WORD_RE.match(token):
-        return porter.stem(token)
-    return token
+    if not _ASCII_WORD_RE.match(token):
+        return token
+    stemmed = _STEMS.get(token)
+    if stemmed is None:
+        stemmed = _STEMS[token] = porter.stem(token)
+    return stemmed
 
 
 def normalize(text: str, config: NormalizationConfig) -> TermBag:

@@ -208,6 +208,18 @@ class TestAnalyze:
         assert (out / "pair_summary.md").exists()
         assert not (out / "pair_summary.csv").exists()
 
+    def test_config_numbers_act_like_typed_flags(self, corpus_path, tmp_path):
+        config = tmp_path / "defaults.json"
+        config.write_text(json.dumps({"cutoff": 1, "k1": 2, "dwell-thresholds": "5,10"}))
+        typed = ["--cutoff", "1", "--k1", "2", "--dwell-thresholds", "5,10"]
+        for analysis in ("metrics", "sources"):
+            assert self.run_analyze(analysis, corpus_path, tmp_path / "typed", typed) == 0
+            assert self.run_analyze(analysis, corpus_path, tmp_path / "config",
+                                    ["--config", str(config)]) == 0
+        for name in ("impression_metrics.csv", "source_comparison.csv", "dwell_thresholds.csv"):
+            assert (tmp_path / "config" / name).read_text() == (
+                tmp_path / "typed" / name).read_text()
+
     def test_config_without_value_exits_2(self, corpus_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["analyze", "pairs", "--corpus", str(corpus_path), "--config"])
@@ -258,8 +270,42 @@ def _config_not_object(workspace):
             "--config", str(workspace / "defaults.json")]
 
 
+def _analyze_flags(analysis, *flags):
+    """Run an analysis on the workspace corpus (it has docs and qrels)
+    with the given flags."""
+    def argv(workspace):
+        run_ingest(workspace)
+        return ["analyze", analysis, "--corpus", str(workspace / "corpus.json"),
+                "--out-dir", str(workspace / "reports"), *flags]
+    return argv
+
+
+def _config_value(analysis, key, value):
+    """Run an analysis with one flag default taken from a --config file."""
+    def argv(workspace):
+        (workspace / "defaults.json").write_text(json.dumps({key: value}))
+        return _analyze_flags(analysis, "--config", str(workspace / "defaults.json"))(
+            workspace)
+    return argv
+
+
 EXIT_2_CASES = {
     "config-json-array": _config_not_object,
+    "dwell-thresholds-not-number": _analyze_flags("sources", "--dwell-thresholds", "5,x"),
+    "dwell-thresholds-empty": _analyze_flags("sources", "--dwell-thresholds", ""),
+    "config-dwell-thresholds-not-number": _config_value("sources", "dwell_thresholds", "5,x"),
+    "cutoff-negative": _analyze_flags("metrics", "--cutoff", "-1"),
+    "cutoff-zero": _analyze_flags("metrics", "--cutoff", "0"),
+    "cutoff-not-integer": _analyze_flags("metrics", "--cutoff", "2.5"),
+    "k-max-zero": _analyze_flags("sources", "--k-max", "0"),
+    "max-position-zero": _analyze_flags("positions", "--max-position", "0"),
+    "config-dwell-thresholds-array": _config_value("sources", "dwell-thresholds", [5, "x"]),
+    "config-cutoff-negative": _config_value("metrics", "cutoff", -1),
+    "config-cutoff-false": _config_value("metrics", "cutoff", False),
+    "config-cutoff-null": _config_value("metrics", "cutoff", None),
+    "config-flag-not-boolean": _config_value("metrics", "strict", "yes"),
+    "config-k-max-zero": _config_value("sources", "k-max", 0),
+    "config-max-position-zero": _config_value("positions", "max_position", 0),
     "result-rank-not-integer": _bad_xml('rank="1"', 'rank="x"'),
     "click-rank-not-integer": _bad_xml("<rank>2</rank>", "<rank>two</rank>"),
     "click-num-not-integer": _bad_xml("<click ", '<click num="first" '),
@@ -290,6 +336,7 @@ def test_bad_input_exits_2_with_one_error_line(case, workspace, capsys):
     assert code == 2, err
     assert "Traceback" not in err
     assert len([line for line in err.splitlines() if "error:" in line]) == 1, err
+    assert not (workspace / "reports").exists()  # fails before writing any table
 
 
 class TestSynth:

@@ -1,9 +1,11 @@
+import random
 from dataclasses import replace
 
 import pytest
 
 from sessionterms.corpus import (
     IngestError,
+    RelevanceJudgments,
     attach_documents,
     from_canonical_json,
     ingest_qrels,
@@ -168,6 +170,58 @@ class TestIngestQrels:
         path = tmp_path / "qrels.txt"
         path.write_text("101 0 docA 3\n")
         assert ingest_qrels(path).grade("101", "unseen") == 0
+
+
+def _scanned_index(qrels, topic_id):
+    """Pool (sorted descending) and relevant count by a scan of `grades`."""
+    pool = [g for (t, _), g in qrels.grades.items() if t == topic_id]
+    return sorted(pool, reverse=True), sum(1 for g in pool if g > 0)
+
+
+def _indexed(qrels, topic_id):
+    return qrels.topic_pool(topic_id), qrels.topic_relevant_count(topic_id)
+
+
+class TestJudgmentIndex:
+    def test_index_equals_scan_of_ingested_qrels(self, tmp_path):
+        path = tmp_path / "qrels.txt"
+        path.write_text(
+            "101 0 dA 3\n101 0 dB -2\n101 0 dC 0\n101 0 dD 1\n"
+            "102 0 dA 0\n102 0 dE -1\n"  # every grade of topic 102 is 0
+            "103 0 dF 4\n101 0 dG 3\n"
+        )
+        qrels = ingest_qrels(path)
+        assert _indexed(qrels, "101") == ([3, 3, 1, 0, 0], 3)  # -2 clamped to 0
+        assert _indexed(qrels, "102") == ([0, 0], 0)
+        assert _indexed(qrels, "unknown") == ([], 0)
+        for topic in ("101", "102", "103", "unknown"):
+            assert _indexed(qrels, topic) == _scanned_index(qrels, topic)
+
+    def test_index_equals_scan_on_random_judgments(self):
+        rng = random.Random(7)
+        grades = {(f"t{rng.randrange(6)}", f"d{i}"): rng.randint(-1, 4)
+                  for i in range(300)}
+        qrels = RelevanceJudgments(grades)
+        for topic in [f"t{i}" for i in range(7)]:
+            assert _indexed(qrels, topic) == _scanned_index(qrels, topic)
+
+    def test_index_of_merged_corpora(self, plain_config):
+        imp = make_impression(1, "q", plain_config, snippets=["s"])
+        a = make_corpus([("x", "t1", [imp])], plain_config,
+                        qrels=RelevanceJudgments({("t1", "d1"): 2, ("t1", "d2"): 0,
+                                                  ("t2", "d1"): 1}))
+        b = make_corpus([("x", "t2", [imp])], plain_config,
+                        qrels=RelevanceJudgments({("t2", "d1"): 0, ("t2", "d3"): 3,
+                                                  ("t3", "d4"): 0}))
+        qrels = merge([a, b]).qrels
+        assert _indexed(qrels, "t2") == ([3, 0], 1)  # b's grade of d1 wins
+        for topic in ("t1", "t2", "t3", "t4"):
+            assert _indexed(qrels, topic) == _scanned_index(qrels, topic)
+
+    def test_pool_is_a_fresh_list(self):
+        qrels = RelevanceJudgments({("t", "d1"): 1, ("t", "d2"): 2})
+        qrels.topic_pool("t").append(4)
+        assert qrels.topic_pool("t") == [2, 1]
 
 
 class TestAttachDocuments:

@@ -1,6 +1,6 @@
-"""Golden report check: `ingest` plus the five `analyze` commands, and
-`analyze sources --docstore-policy empty`, on a fixed synthetic log must
-write exactly the recorded bytes.
+"""Golden report check: `ingest` plus the five `analyze` commands,
+`analyze sources --docstore-policy empty` and `analyze metrics --cutoff
+5`, on a fixed synthetic log must write exactly the recorded bytes.
 
 Each command runs in its own process with PYTHONHASHSEED=0, as a user
 would run it; several report values are float sums taken in set order,
@@ -63,6 +63,14 @@ GOLDEN_EMPTY = {
     "rank_prefix.md": "3f2a64753e04adc02ead28d4ebed8b25d65c7c4d16ec18024af0dfdb00ae6bc7",
     "source_comparison.csv": "405d06ace32689d77d92542ffca35a9f87d8f20ed6c0181e4dc0be3be258f5ac",
     "source_comparison.md": "9b608f5de7bc3237d900f293d1219bf4defc2f8fe1458aade32c23212e401e92",
+}
+
+# `analyze metrics --cutoff 5` on the same corpus.
+GOLDEN_CUTOFF_5 = {
+    "impression_metrics.csv": "72fd040b269f7b946c7719523e276bed66626dfe908b346222845f9a9dc8a5e7",
+    "metrics_by_position.csv": "19ba91fa50895c05c2dd264ee5f1306c4bc25afe921c67048f0a7cd9d2cbbe3c",
+    "scenario_metric_eval.csv": "89765cf16ce2616aa646489ff8a310b50f00f3ab5c4689039d9bffd4b6d81027",
+    "scenario_metric_eval.md": "3eee1497ab239d02868fd6ddfb1873ce11dfdb088c8b7fb1f86ebdd6b67b7bb4",
 }
 
 
@@ -167,3 +175,11 @@ def test_docstore_policy_empty_matches_golden_digests(ingested):
     _sessionterms(ingested, "analyze", "sources", "--corpus", "corpus.json",
                   "--docstore-policy", "empty", "--out-dir", "reports_empty")
     assert _digests(_listing(os.path.join(ingested, "reports_empty"))) == GOLDEN_EMPTY
+
+
+def test_metrics_cutoff_5_matches_golden_digests(ingested):
+    """A non-default cutoff changes every NDCG and NERR value, so these
+    digests differ from GOLDEN's."""
+    _sessionterms(ingested, "analyze", "metrics", "--corpus", "corpus.json",
+                  "--cutoff", "5", "--out-dir", "reports_cutoff_5")
+    assert _digests(_listing(os.path.join(ingested, "reports_cutoff_5"))) == GOLDEN_CUTOFF_5

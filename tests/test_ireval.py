@@ -212,6 +212,44 @@ def improvement_corpus(plain_config, n_sessions=12):
     )
 
 
+class _CountingGrades(dict):
+    """A judgments dict that counts walks over all of its entries."""
+
+    walks = 0
+
+    def _walk(self, view):
+        self.walks += 1
+        return view
+
+    def items(self):
+        return self._walk(super().items())
+
+    def keys(self):
+        return self._walk(super().keys())
+
+    def values(self):
+        return self._walk(super().values())
+
+    def __iter__(self):
+        return self._walk(super().__iter__())
+
+
+def test_metrics_pass_walks_judgments_a_bounded_number_of_times(plain_config):
+    """The tables of `analyze metrics` look judgments up per topic; they
+    do not scan every judgment for each impression."""
+    walks = {}
+    for n_sessions in (3, 24):
+        corpus = improvement_corpus(plain_config, n_sessions)
+        grades = _CountingGrades(corpus.qrels.grades)  # same judgments
+        corpus.qrels.grades = grades
+        records = assign_scenarios(extract_pairs(corpus), corpus)
+        scenario_metric_eval(records, corpus)
+        metrics_by_position(corpus)
+        metrics_csv(corpus)
+        walks[n_sessions] = grades.walks
+    assert walks[3] == walks[24] <= 1, walks
+
+
 class TestScenarioMetricEval:
     def test_uniform_improvement_marked_significant(self, plain_config):
         corpus = improvement_corpus(plain_config)

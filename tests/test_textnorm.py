@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from sessionterms import porter, textnorm
 from sessionterms.textnorm import (
     NormalizationConfig,
     TermBag,
@@ -188,6 +189,41 @@ class TestPorter:
         for token in vocabulary:
             once = stem(token)
             assert stem(once) == once, token
+
+
+class TestStemMemo:
+    @pytest.fixture
+    def porter_calls(self, monkeypatch):
+        """Tokens handed to the Porter stemmer, starting from an empty memo."""
+        monkeypatch.setattr(textnorm, "_STEMS", {})
+        calls = []
+        real = porter.stem
+
+        def counting_stem(token):
+            calls.append(token)
+            return real(token)
+
+        monkeypatch.setattr(porter, "stem", counting_stem)
+        return calls
+
+    def test_repeated_normalize_stems_each_distinct_word_once(self, porter_calls):
+        config = NormalizationConfig(stoplist=frozenset())
+        text = "running dogs running cats dogs"
+        for _ in range(3):
+            assert normalize(text, config).counts == {"run": 2, "dog": 2, "cat": 1}
+        assert sorted(porter_calls) == ["cats", "dogs", "running"]
+        assert textnorm._STEMS == {"running": "run", "dogs": "dog", "cats": "cat"}
+
+    def test_digit_and_non_ascii_tokens_never_enter_the_memo(self, porter_calls):
+        config = NormalizationConfig(stoplist=frozenset())
+        text = "f0x50 w12 2016 café über naïve running"
+        for _ in range(2):
+            assert normalize(text, config).counts == {
+                "f0x50": 1, "w12": 1, "2016": 1, "café": 1, "über": 1, "naïve": 1,
+                "run": 1,
+            }
+        assert porter_calls == ["running"]
+        assert textnorm._STEMS == {"running": "run"}
 
 
 class TestNormalize:
