@@ -5,7 +5,9 @@ figure data series are emitted as CSV for external plotting.
 Exit codes: 0 success (including degraded runs with notices), 1
 analysis failure, 2 usage or input error: a bad flag (flag values are
 checked before any report is written, also those read from --config), a
-missing input file, malformed input, or input with nothing to analyze.
+--config key that names no `analyze` option, a missing input file,
+malformed input, or input with nothing to analyze (such as `analyze
+pairs`, `scenarios` or `sources` on a corpus with no query pair).
 """
 
 from __future__ import annotations
@@ -208,6 +210,8 @@ def cmd_analyze(args) -> int:
             "fixed_query_similarity", args, corpus,
         )
     elif args.analysis == "sources":
+        if not pairs:
+            raise actions.EmptyInputError("analyze sources requires at least one pair")
         _write_table(
             sources.rank_prefix_similarity(pairs, corpus, args.k_max, args.k1, args.b),
             "rank_prefix", args, corpus,
@@ -292,24 +296,28 @@ def build_parser() -> argparse.ArgumentParser:
         "analysis",
         choices=["pairs", "positions", "sources", "scenarios", "metrics"],
     )
-    analyze.add_argument("--corpus", nargs="+", required=True, metavar="PATH")
-    analyze.add_argument("--out-dir", default="reports")
-    analyze.add_argument("--format", choices=["csv", "md", "both"], default="both")
-    analyze.add_argument("--include-test-queries", action="store_true")
-    analyze.add_argument("--k1", type=float, default=1.2)
-    analyze.add_argument("--b", type=float, default=0.75)
-    analyze.add_argument("--k-max", type=_positive_int, default=5)
-    analyze.add_argument("--max-position", type=_positive_int, default=9)
-    analyze.add_argument("--cutoff", type=_positive_int, default=10)
-    analyze.add_argument(
-        "--dwell-thresholds", type=_thresholds,
-        default=",".join(map(str, sources.DEFAULT_DWELL_THRESHOLDS)),
-    )
-    analyze.add_argument("--docstore-policy", choices=["drop", "empty"], default="drop")
-    analyze.add_argument("--strict", action="store_true")
-    analyze.add_argument("--config", metavar="PATH", help="JSON file of flag defaults")
-    # `parser` lets main() set the --config defaults on this subparser.
-    analyze.set_defaults(func=cmd_analyze, parser=analyze)
+    options = [
+        analyze.add_argument("--corpus", nargs="+", required=True, metavar="PATH"),
+        analyze.add_argument("--out-dir", default="reports"),
+        analyze.add_argument("--format", choices=["csv", "md", "both"], default="both"),
+        analyze.add_argument("--include-test-queries", action="store_true"),
+        analyze.add_argument("--k1", type=float, default=1.2),
+        analyze.add_argument("--b", type=float, default=0.75),
+        analyze.add_argument("--k-max", type=_positive_int, default=5),
+        analyze.add_argument("--max-position", type=_positive_int, default=9),
+        analyze.add_argument("--cutoff", type=_positive_int, default=10),
+        analyze.add_argument(
+            "--dwell-thresholds", type=_thresholds,
+            default=",".join(map(str, sources.DEFAULT_DWELL_THRESHOLDS)),
+        ),
+        analyze.add_argument("--docstore-policy", choices=["drop", "empty"], default="drop"),
+        analyze.add_argument("--strict", action="store_true"),
+        analyze.add_argument("--config", metavar="PATH", help="JSON file of flag defaults"),
+    ]
+    # `parser` and `options` let main() check and set the --config
+    # defaults on this subparser; other keys of the namespace are internal.
+    analyze.set_defaults(func=cmd_analyze, parser=analyze,
+                         options=frozenset(action.dest for action in options))
 
     synth = sub.add_parser("synth", help="generate a synthetic corpus")
     synth.add_argument("--spec", required=True, metavar="PATH")
@@ -333,6 +341,8 @@ def main(argv=None) -> int:
             parser.error(f"--config {args.config} must hold a JSON object")
         for key, value in defaults.items():
             dest = key.replace("-", "_")
+            if dest not in args.options:
+                args.parser.error(f"--config {args.config}: unknown option {key!r}")
             args.parser.set_defaults(**{dest: _config_default(args.parser, dest, value)})
     args = parser.parse_args(argv)
     try:

@@ -3,14 +3,15 @@
 Both are two-sided. The Wilcoxon test enumerates all sign assignments
 exactly for small samples and falls back to a tie- and continuity-
 corrected normal approximation for larger ones.
+
+scipy is loaded only when a Welch p-value is computed, which among the
+CLI commands only `analyze sources` does.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from scipy.special import betainc
 
 WILCOXON_EXACT_LIMIT = 25
 
@@ -32,6 +33,8 @@ def _t_sf_two_sided(t, df):
     incomplete beta function."""
     if df <= 0:
         return 1.0
+    from scipy.special import betainc  # deferred: only Welch p-values need scipy, ~0.3 s to import
+
     x = df / (df + t * t)
     return float(betainc(df / 2.0, 0.5, x))
 

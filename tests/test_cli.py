@@ -1,7 +1,12 @@
 import json
+import math
 import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
+from scipy.special import betainc
 
 from sessionterms.cli import main
 from sessionterms.corpus import from_canonical_json
@@ -311,8 +316,11 @@ EXIT_2_CASES = {
     "click-num-not-integer": _bad_xml("<click ", '<click num="first" '),
     "click-starttime-not-number": _bad_xml('starttime="0"', 'starttime="noon"'),
     "click-endtime-not-number": _bad_xml('endtime="30"', 'endtime="later"'),
+    "config-internal-key": _config_value("pairs", "func", "x"),
+    "config-unknown-key": _config_value("pairs", "no_such", 1),
     "pairs-on-zero-pairs": _zero_pairs("pairs"),
     "scenarios-on-zero-pairs": _zero_pairs("scenarios"),
+    "sources-on-zero-pairs": _zero_pairs("sources"),
     "missing-corpus-file": lambda workspace: [
         "analyze", "pairs", "--corpus", str(workspace / "missing.json"),
         "--out-dir", str(workspace / "reports"),
@@ -337,6 +345,69 @@ def test_bad_input_exits_2_with_one_error_line(case, workspace, capsys):
     assert "Traceback" not in err
     assert len([line for line in err.splitlines() if "error:" in line]) == 1, err
     assert not (workspace / "reports").exists()  # fails before writing any table
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def _run_python(script, *args):
+    """Run `script` in a fresh interpreter that imports the package from
+    src; return the last line it printed."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+SCIPY_LOADED = "any(m.split('.')[0] == 'scipy' for m in sys.modules)"
+
+
+class TestStartUpImports:
+    """Only a Welch p-value needs scipy; loading it costs every other
+    command about 0.3 s of start-up."""
+
+    def test_commands_without_welch_never_load_scipy(self, workspace):
+        corpus = str(workspace / "corpus.json")
+        commands = [
+            ["ingest", "--trec-xml", str(workspace / "sessions.xml"),
+             "--qrels", str(workspace / "qrels.txt"), "--docs", str(workspace / "docs"),
+             "--out", corpus],
+            *(["analyze", analysis, "--corpus", corpus,
+               "--out-dir", str(workspace / analysis)]
+              for analysis in ("pairs", "positions", "scenarios", "metrics")),
+        ]
+        script = textwrap.dedent(f"""
+            import json, sys
+            from sessionterms.cli import main
+            codes = [main(argv) for argv in json.loads(sys.argv[1])]
+            print(json.dumps([codes, {SCIPY_LOADED}]))
+        """)
+        assert json.loads(_run_python(script, json.dumps(commands))) == [[0] * 5, False]
+        for analysis in ("pairs", "positions", "scenarios", "metrics"):
+            assert os.listdir(workspace / analysis)
+
+    def test_welch_p_value_loads_scipy_and_equals_betainc(self):
+        a, b = [1.0, 2.0, 4.0], [3.0, 5.0, 9.0, 6.0]
+        script = textwrap.dedent(f"""
+            import json, sys
+            from sessionterms.stattests import welch_t
+            no_p = welch_t([1.0], [2.0, 3.0]).p_value
+            before = {SCIPY_LOADED}
+            result = welch_t({a}, {b})
+            print(json.dumps([no_p, before, {SCIPY_LOADED}, result.statistic, result.p_value]))
+        """)
+        no_p, before, after, t, p_value = json.loads(_run_python(script))
+        assert (no_p, before, after) == (None, False, True)
+        m1, m2 = sum(a) / 3, sum(b) / 4
+        v1 = sum((x - m1) ** 2 for x in a) / 2
+        v2 = sum((x - m2) ** 2 for x in b) / 3
+        se2 = v1 / 3 + v2 / 4
+        df = se2 * se2 / ((v1 / 3) ** 2 / 2 + (v2 / 4) ** 2 / 3)
+        assert t == (m1 - m2) / math.sqrt(se2)
+        assert 0.0 < p_value < 1.0
+        assert p_value == float(betainc(df / 2.0, 0.5, df / (df + t * t)))
 
 
 class TestSynth:
