@@ -6,10 +6,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .report import ReportTable
 from .similarity import cosine_tf, jaccard
+from .stattests import pairwise_mean
 from .textnorm import TermBag
 
 DEFAULT_MAX_POSITION = 9
@@ -103,22 +102,22 @@ def pair_summary(pairs_by_label) -> ReportTable:
         table.set(
             "jaccard",
             label,
-            float(np.mean([jaccard(p.qn, p.qn1) for p in pairs])),
+            pairwise_mean([jaccard(p.qn, p.qn1) for p in pairs]),
             population=n,
         )
         table.set(
             "cosine",
             label,
-            float(np.mean([cosine_tf(p.qn_bag, p.qn1_bag) for p in pairs])),
+            pairwise_mean([cosine_tf(p.qn_bag, p.qn1_bag) for p in pairs]),
             population=n,
         )
-        table.set("retained", label, float(np.mean([len(p.retained) for p in pairs])), population=n)
-        table.set("removed", label, float(np.mean([len(p.removed) for p in pairs])), population=n)
-        table.set("added", label, float(np.mean([len(p.added) for p in pairs])), population=n)
+        table.set("retained", label, pairwise_mean([len(p.retained) for p in pairs]), population=n)
+        table.set("removed", label, pairwise_mean([len(p.removed) for p in pairs]), population=n)
+        table.set("added", label, pairwise_mean([len(p.added) for p in pairs]), population=n)
         table.set(
             "all_terms_kept_fraction",
             label,
-            float(np.mean([1.0 if not p.removed else 0.0 for p in pairs])),
+            pairwise_mean([1.0 if not p.removed else 0.0 for p in pairs]),
             population=n,
         )
     return table
@@ -136,7 +135,7 @@ def length_by_position(corpus, session_length: int):
         for imp in session.impressions:
             lengths_at.setdefault(imp.position, []).append(imp.query_terms.length)
     return [
-        (pos, float(np.mean(vals)), len(vals))
+        (pos, pairwise_mean(vals), len(vals))
         for pos, vals in sorted(lengths_at.items())
     ]
 
@@ -155,8 +154,8 @@ def similarity_by_position(corpus, include_test_queries: bool = True,
         series.append(
             (
                 pos,
-                float(np.mean([jaccard(p.qn, p.qn1) for p in pairs])),
-                float(np.mean([cosine_tf(p.qn_bag, p.qn1_bag) for p in pairs])),
+                pairwise_mean([jaccard(p.qn, p.qn1) for p in pairs]),
+                pairwise_mean([cosine_tf(p.qn_bag, p.qn1_bag) for p in pairs]),
                 len(pairs),
             )
         )
@@ -178,4 +177,4 @@ def fixed_query_similarity(corpus, x: int, max_position: int = DEFAULT_MAX_POSIT
             grouped.setdefault(imp.position, []).append(
                 cosine_tf(fixed_bag, imp.query_terms)
             )
-    return [(pos, float(np.mean(vals)), len(vals)) for pos, vals in sorted(grouped.items())]
+    return [(pos, pairwise_mean(vals), len(vals)) for pos, vals in sorted(grouped.items())]

@@ -5,9 +5,10 @@ figure data series are emitted as CSV for external plotting.
 Exit codes: 0 success (including degraded runs with notices), 1
 analysis failure, 2 usage or input error: a bad flag (flag values are
 checked before any report is written, also those read from --config), a
---config key that names no `analyze` option, a missing input file,
-malformed input, or input with nothing to analyze (such as `analyze
-pairs`, `scenarios` or `sources` on a corpus with no query pair).
+--config key that names no `analyze` option a config file can set (every
+option but --corpus and --config), a missing input file, malformed
+input, or input with nothing to analyze (such as any `analyze` on a
+corpus with no query pair; `metrics` without qrels only gives a notice).
 """
 
 from __future__ import annotations
@@ -169,6 +170,11 @@ def _notice(args, message) -> int:
     return 0
 
 
+def _require_pairs(pairs, analysis):
+    if not pairs:
+        raise actions.EmptyInputError(f"analyze {analysis} requires at least one pair")
+
+
 def cmd_analyze(args) -> int:
     corpora = [_load_corpus(path) for path in args.corpus]
     corpus = corpora[0] if len(corpora) == 1 else merge(
@@ -186,6 +192,7 @@ def cmd_analyze(args) -> int:
             by_label = {corpus.provenance: pairs}
         _write_table(actions.pair_summary(by_label), "pair_summary", args, corpus)
     elif args.analysis == "positions":
+        _require_pairs(pairs, "positions")
         lengths_rows = []
         for session_length in range(2, args.max_position + 2):
             for pos, mean, count in actions.length_by_position(corpus, session_length):
@@ -210,8 +217,7 @@ def cmd_analyze(args) -> int:
             "fixed_query_similarity", args, corpus,
         )
     elif args.analysis == "sources":
-        if not pairs:
-            raise actions.EmptyInputError("analyze sources requires at least one pair")
+        _require_pairs(pairs, "sources")
         _write_table(
             sources.rank_prefix_similarity(pairs, corpus, args.k_max, args.k1, args.b),
             "rank_prefix", args, corpus,
@@ -249,6 +255,7 @@ def cmd_analyze(args) -> int:
     elif args.analysis == "metrics":
         if corpus.qrels is None:
             return _notice(args, "metric evaluation requires qrels")
+        _require_pairs(pairs, "metrics")
         eligible = [p for p in pairs if not p.involves_test_query]
         records = scenarios.assign_scenarios(eligible, corpus, args.docstore_policy)
         _write_table(
@@ -296,8 +303,11 @@ def build_parser() -> argparse.ArgumentParser:
         "analysis",
         choices=["pairs", "positions", "sources", "scenarios", "metrics"],
     )
+    analyze.add_argument("--corpus", nargs="+", required=True, metavar="PATH")
+    analyze.add_argument("--config", metavar="PATH", help="JSON file of flag defaults")
+    # The options a --config file may set: not --corpus, which is required
+    # on the command line, nor --config itself, which is read only once.
     options = [
-        analyze.add_argument("--corpus", nargs="+", required=True, metavar="PATH"),
         analyze.add_argument("--out-dir", default="reports"),
         analyze.add_argument("--format", choices=["csv", "md", "both"], default="both"),
         analyze.add_argument("--include-test-queries", action="store_true"),
@@ -312,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
         analyze.add_argument("--docstore-policy", choices=["drop", "empty"], default="drop"),
         analyze.add_argument("--strict", action="store_true"),
-        analyze.add_argument("--config", metavar="PATH", help="JSON file of flag defaults"),
     ]
     # `parser` and `options` let main() check and set the --config
     # defaults on this subparser; other keys of the namespace are internal.
@@ -342,7 +351,8 @@ def main(argv=None) -> int:
         for key, value in defaults.items():
             dest = key.replace("-", "_")
             if dest not in args.options:
-                args.parser.error(f"--config {args.config}: unknown option {key!r}")
+                args.parser.error(
+                    f"--config {args.config}: {key!r} names no option a config file can set")
             args.parser.set_defaults(**{dest: _config_default(args.parser, dest, value)})
     args = parser.parse_args(argv)
     try:

@@ -6,13 +6,12 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .report import ReportTable
 from .scenarios import ADDED, EVAL_SCENARIOS, REMOVED, RETAINED
-from .stattests import wilcoxon_signed_rank
+from .stattests import column_means, pairwise_mean, wilcoxon_signed_rank
 
 DEFAULT_CUTOFF = 10
 MAX_GRADE = 4
@@ -20,11 +19,24 @@ MAX_GRADE = 4
 METRICS = ["NDCG", "NERR", "MAP"]
 
 
+# math.log2(x) equals NumPy's log2 for every integer 2 <= x <= 1620, and
+# some larger x differ, so discounts from rank 1620 on keep NumPy's value.
+_MATH_LOG2_EXACT_UPTO = 1620
+
+
+def _log2(x):
+    if x <= _MATH_LOG2_EXACT_UPTO:
+        return math.log2(x)
+    import numpy as np  # deferred: only ranks of 1620 and deeper need it
+
+    return float(np.log2(x))
+
+
 def _dcg(grades, k):
-    return sum(
-        (2 ** g - 1) / np.log2(r + 1)
-        for r, g in enumerate(grades[:k], start=1)
-    )
+    total = 0.0
+    for r, g in enumerate(grades[:k], start=1):
+        total += (2 ** g - 1) / _log2(r + 1)
+    return total
 
 
 def ndcg_at_k(grades, ideal_pool, k: int = DEFAULT_CUTOFF) -> float:
@@ -108,8 +120,8 @@ def metrics_by_position(corpus, cutoff: int = DEFAULT_CUTOFF):
             )
     series = []
     for pos in sorted(grouped):
-        arr = np.asarray(grouped[pos], dtype=float)
-        series.append((pos, *map(float, arr.mean(axis=0)), arr.shape[0]))
+        rows = grouped[pos]
+        series.append((pos, *column_means(rows), len(rows)))
     return series
 
 
@@ -171,7 +183,7 @@ def scenario_metric_eval(records, corpus, cutoff: int = DEFAULT_CUTOFF,
                 if not cell:
                     continue
                 values = [d[metric].delta for d in cell]
-                mean = float(np.mean(values))
+                mean = pairwise_mean(values)
                 nonzero = [v for v in values if v != 0.0]
                 if len(nonzero) < 2:
                     table.set(row, str(scenario), mean, population=len(values))

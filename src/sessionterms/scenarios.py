@@ -10,11 +10,10 @@ import csv
 import io
 from dataclasses import dataclass
 
-import numpy as np
-
 from .actions import EmptyInputError
 from .report import ReportTable
 from .sources import DROP, SourceKind, extract_source, predecessor_impression
+from .stattests import pairwise_mean
 
 QUERY_TERM = "query-term"
 ADDED_TERM = "added-term"
@@ -149,12 +148,12 @@ def scenario_distribution(records) -> ReportTable:
             if subset:
                 table.set(
                     str(scenario), f"{prefix}_docs",
-                    float(np.mean([r.ranked_documents for r in subset])),
+                    pairwise_mean([r.ranked_documents for r in subset]),
                     population=len(subset),
                 )
                 table.set(
                     str(scenario), f"{prefix}_clicks",
-                    float(np.mean([r.click_count for r in subset])),
+                    pairwise_mean([r.click_count for r in subset]),
                     population=len(subset),
                 )
     table.footnotes.append(

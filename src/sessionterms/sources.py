@@ -8,8 +8,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice
 
-import numpy as np
-
 from .report import ReportTable
 from .similarity import (
     DOCUMENT_KINDS,
@@ -21,7 +19,7 @@ from .similarity import (
     cosine_tfidf,
     jaccard,
 )
-from .stattests import welch_t
+from .stattests import column_means, pairwise_mean, welch_t
 from .textnorm import TermBag
 
 DROP = "drop"
@@ -149,29 +147,39 @@ def _added_bag(pair) -> TermBag:
 
 
 def _similarities(pair, bags, stats, k1, b):
-    """Per-bag (terms, jaccard, cosine_tfidf, bm25) against added terms."""
+    """Per-bag (terms, jaccard, cosine_tfidf, bm25) rows of floats
+    against added terms."""
     added = pair.added
     added_bag = _added_bag(pair)
-    return np.asarray(
-        [
-            (
-                bag.length,
-                jaccard(added, bag.terms),
-                cosine_tfidf(added_bag, bag, stats),
-                bm25(added, bag, stats, k1=k1, b=b),
-            )
-            for bag in bags
-        ],
-        dtype=float,
-    )
+    return [
+        (
+            float(bag.length),
+            jaccard(added, bag.terms),
+            cosine_tfidf(added_bag, bag, stats),
+            bm25(added, bag, stats, k1=k1, b=b),
+        )
+        for bag in bags
+    ]
+
+
+def _snippet_scores(pair, imp, stats, corpus, k1, b, last_use=False):
+    """`_similarities` rows of the predecessor impression's snippets
+    against `stats` (the corpus's ALL_SNIPPETS statistics), memoized per
+    corpus, pair and k1/b: the rank-prefix, last-click and source tables
+    all read the same rows. `last_use` takes the rows out of the memo;
+    `source_comparison`, the last of the three in `analyze sources`,
+    does, so the memo is empty by that command's peak memory."""
+    cache = corpus.__dict__.setdefault("_snippet_score_cache", {})
+    key = (pair.session_id, pair.position, k1, b)
+    rows = cache.pop(key, None) if last_use else cache.get(key)
+    if rows is None:
+        rows = _similarities(pair, [r.terms for r in imp.results], stats, k1, b)
+        if not last_use:
+            cache[key] = rows
+    return rows
 
 
 _MEASURES = ["snippet_terms", "jaccard", "cosine", "bm25"]
-
-
-def _prefix_means(scores, upto):
-    prefix = scores[:upto]
-    return tuple(prefix[:, i].mean() for i in range(len(_MEASURES)))
 
 
 def _prefix_cut_similarity(pairs, corpus, title, columns, cuts, k1, b) -> ReportTable:
@@ -184,16 +192,14 @@ def _prefix_cut_similarity(pairs, corpus, title, columns, cuts, k1, b) -> Report
         imp = predecessor_impression(corpus, pair)
         if not imp.results:
             continue
-        scores = _similarities(pair, [r.terms for r in imp.results], stats, k1, b)
+        scores = _snippet_scores(pair, imp, stats, corpus, k1, b)
         for col, cut in zip(columns, cuts(imp)):
-            per_col[col].append(_prefix_means(scores, cut))
+            per_col[col].append([pairwise_mean(m) for m in zip(*scores[:cut])])
     table = ReportTable(title=title, columns=columns)
     for col in columns:
-        if not per_col[col]:
-            continue
-        arr = np.asarray(per_col[col], dtype=float)
-        for i, row in enumerate(_MEASURES):
-            table.set(row, col, float(arr[:, i].mean()), population=len(per_col[col]))
+        means = per_col[col]
+        for row, values in zip(_MEASURES, zip(*means)):
+            table.set(row, col, pairwise_mean(values), population=len(means))
     return table
 
 
@@ -271,8 +277,8 @@ def source_comparison(pairs, corpus, docstore_policy: str = DROP,
     samples = {label: [] for label, _ in rows}
 
     def add_sample(label, scores):
-        if len(scores):
-            samples[label].append(scores.mean(axis=0))
+        if scores:
+            samples[label].append(column_means(scores))
 
     session_id, session_bags = None, None
     for pair in pairs:
@@ -280,24 +286,25 @@ def source_comparison(pairs, corpus, docstore_policy: str = DROP,
         if not imp.results:
             continue
         clicked_ranks = imp.clicked_ranks
-        clicked = np.array([r.rank in clicked_ranks for r in imp.results])
-        snippets = _similarities(
-            pair, [r.terms for r in imp.results], stats[SourceKind.ALL_SNIPPETS], k1, b
-        )
+        clicked = [r.rank in clicked_ranks for r in imp.results]
+        snippets = _snippet_scores(pair, imp, stats[SourceKind.ALL_SNIPPETS], corpus, k1, b,
+                                   last_use=True)
         add_sample("s(M)", snippets)
-        add_sample("cs", snippets[clicked])
-        add_sample("ncs", snippets[~clicked])
+        add_sample("cs", [row for row, c in zip(snippets, clicked) if c])
+        add_sample("ncs", [row for row, c in zip(snippets, clicked) if not c])
         if not has_docs:
             continue
         bags = [corpus.doc_terms(r.docid) for r in imp.results]
-        present = np.array([bag is not None for bag in bags])
-        docs = _similarities(
+        scored = iter(_similarities(
             pair, [bag for bag in bags if bag is not None], stats[SourceKind.ALL_DOCUMENTS], k1, b
-        )
-        for label, chosen in (("ad", np.ones_like(clicked)), ("cd", clicked), ("ncd", ~clicked)):
-            if drop_incomplete and not present[chosen].all():
+        ))
+        # one row per result: its document's scores, or None when missing
+        docs = [None if bag is None else next(scored) for bag in bags]
+        for label, want in (("ad", None), ("cd", True), ("ncd", False)):
+            chosen = [row for row, c in zip(docs, clicked) if want is None or c is want]
+            if drop_incomplete and None in chosen:
                 continue
-            add_sample(label, docs[chosen[present]])
+            add_sample(label, [row for row in chosen if row is not None])
         if pair.session_id != session_id:
             session_id = pair.session_id
             session_bags = list(_historical_prefixes(corpus, corpus.session_by_id(session_id)))
@@ -316,38 +323,33 @@ def source_comparison(pairs, corpus, docstore_policy: str = DROP,
         table.footnotes.append(
             "document, impression and historical rows omitted: no docstore attached"
         )
-    means = {}
+    # per row label: the per-pair means of each column
+    by_column = {}
     for label, _ in rows:
         if not samples[label]:
             continue
-        arr = np.asarray(samples[label], dtype=float)
-        means[label] = arr
-        for i, col in enumerate(columns):
-            table.set(label, col, float(arr[:, i].mean()), population=arr.shape[0])
+        by_column[label] = list(zip(*samples[label]))
+        for col, values in zip(columns, by_column[label]):
+            table.set(label, col, pairwise_mean(values), population=len(values))
     for label, others in _SIGNIFICANCE_PAIRS.items():
-        if label not in means:
+        if label not in by_column:
             continue
         for i, col in enumerate(columns):
             if col == "terms":
                 continue
             p_values = []
             for other in others:
-                if other not in means:
+                if other not in by_column:
                     break
-                result = welch_t(list(means[label][:, i]), list(means[other][:, i]))
+                result = welch_t(by_column[label][i], by_column[other][i])
                 if result.p_value is None:
                     break
                 p_values.append(result.p_value)
             else:
                 if p_values and max(p_values) < alpha:
-                    table.set(
-                        label,
-                        col,
-                        float(means[label][:, i].mean()),
-                        significant=True,
-                        p_value=max(p_values),
-                        population=means[label].shape[0],
-                    )
+                    cell = table.get(label, col)
+                    table.set(label, col, cell.value, significant=True,
+                              p_value=max(p_values), population=cell.population)
     return table
 
 
@@ -395,7 +397,7 @@ def dwell_threshold_curve(pairs, corpus, thresholds=DEFAULT_DWELL_THRESHOLDS,
             if not kept:
                 continue
             surviving += len(kept)
-            pair_means.append(float(np.mean(kept)))
+            pair_means.append(pairwise_mean(kept))
         if pair_means:
-            series.append((tau, float(np.mean(pair_means)), surviving))
+            series.append((tau, pairwise_mean(pair_means), surviving))
     return series

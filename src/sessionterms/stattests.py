@@ -1,6 +1,11 @@
-"""Welch's t-test and the Wilcoxon signed-rank test.
+"""Means in NumPy's summation order, Welch's t-test and the Wilcoxon
+signed-rank test.
 
-Both are two-sided. The Wilcoxon test enumerates all sign assignments
+`pairwise_mean` and `column_means` give the exact floats of NumPy 2's
+`mean` without importing it: reports write floats with `repr`, so a
+mean summed in any other order could change their bytes.
+
+Both tests are two-sided. The Wilcoxon test enumerates all sign assignments
 exactly for small samples and falls back to a tie- and continuity-
 corrected normal approximation for larger ones.
 
@@ -12,8 +17,41 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 WILCOXON_EXACT_LIMIT = 25
+
+_PAIRWISE_BLOCK = 128
+
+
+def _pairwise_sum(values):
+    """NumPy's pairwise sum: a plain loop below 8 values, 8 strided
+    accumulators up to 128, and above that a split at n/2 rounded down
+    to a multiple of 8."""
+    n = len(values)
+    if n < 8:
+        return reduce(add, values, 0.0)
+    if n <= _PAIRWISE_BLOCK:
+        m = n - n % 8
+        r = [reduce(add, values[j:m:8]) for j in range(8)]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        return reduce(add, values[m:], total)
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+
+
+def pairwise_mean(values) -> float:
+    """NumPy's `mean` of a non-empty sequence of numbers, bit for bit."""
+    return (0.0 + _pairwise_sum(values)) / len(values)
+
+
+def column_means(rows) -> list:
+    """NumPy's `asarray(rows).mean(axis=0)` of non-empty rows of equal
+    length (at least two), bit for bit: each column is summed row by
+    row."""
+    return [reduce(add, column, 0.0) / len(rows) for column in zip(*rows)]
 
 
 @dataclass(frozen=True)

@@ -257,11 +257,12 @@ def _bad_xml(old, new):
     return argv
 
 
-def _zero_pairs(analysis):
+def _zero_pairs(analysis, with_qrels=False):
     """Run an analysis on a corpus of one single-query session."""
     def argv(workspace):
         (workspace / "one.xml").write_text(ONE_QUERY_XML)
-        assert main(["ingest", "--trec-xml", str(workspace / "one.xml"),
+        qrels = ["--qrels", str(workspace / "qrels.txt")] if with_qrels else []
+        assert main(["ingest", "--trec-xml", str(workspace / "one.xml"), *qrels,
                      "--out", str(workspace / "one.json")]) == 0
         return ["analyze", analysis, "--corpus", str(workspace / "one.json"),
                 "--out-dir", str(workspace / "reports")]
@@ -318,9 +319,13 @@ EXIT_2_CASES = {
     "click-endtime-not-number": _bad_xml('endtime="30"', 'endtime="later"'),
     "config-internal-key": _config_value("pairs", "func", "x"),
     "config-unknown-key": _config_value("pairs", "no_such", 1),
+    "config-config-key": _config_value("positions", "config", "nope.json"),
+    "config-corpus-key": _config_value("positions", "corpus", "x.json"),
     "pairs-on-zero-pairs": _zero_pairs("pairs"),
     "scenarios-on-zero-pairs": _zero_pairs("scenarios"),
     "sources-on-zero-pairs": _zero_pairs("sources"),
+    "positions-on-zero-pairs": _zero_pairs("positions"),
+    "metrics-on-zero-pairs": _zero_pairs("metrics", with_qrels=True),
     "missing-corpus-file": lambda workspace: [
         "analyze", "pairs", "--corpus", str(workspace / "missing.json"),
         "--out-dir", str(workspace / "reports"),
@@ -362,6 +367,7 @@ def _run_python(script, *args):
 
 
 SCIPY_LOADED = "any(m.split('.')[0] == 'scipy' for m in sys.modules)"
+NUMPY_LOADED = "any(m.split('.')[0] == 'numpy' for m in sys.modules)"
 
 
 class TestStartUpImports:
@@ -386,6 +392,30 @@ class TestStartUpImports:
         """)
         assert json.loads(_run_python(script, json.dumps(commands))) == [[0] * 5, False]
         for analysis in ("pairs", "positions", "scenarios", "metrics"):
+            assert os.listdir(workspace / analysis)
+
+    def test_commands_without_welch_never_load_numpy(self, workspace):
+        """Means are summed in pure Python; numpy comes only with scipy.
+        The workspace corpus has one pair, so `analyze sources` computes
+        no Welch p-value and runs without numpy too."""
+        corpus = str(workspace / "corpus.json")
+        analyses = ("pairs", "positions", "sources", "scenarios", "metrics")
+        commands = [
+            ["ingest", "--trec-xml", str(workspace / "sessions.xml"),
+             "--qrels", str(workspace / "qrels.txt"), "--docs", str(workspace / "docs"),
+             "--out", corpus],
+            *(["analyze", analysis, "--corpus", corpus,
+               "--out-dir", str(workspace / analysis)]
+              for analysis in analyses),
+        ]
+        script = textwrap.dedent(f"""
+            import json, sys
+            from sessionterms.cli import main
+            codes = [main(argv) for argv in json.loads(sys.argv[1])]
+            print(json.dumps([codes, {NUMPY_LOADED}]))
+        """)
+        assert json.loads(_run_python(script, json.dumps(commands))) == [[0] * 6, False]
+        for analysis in analyses:
             assert os.listdir(workspace / analysis)
 
     def test_welch_p_value_loads_scipy_and_equals_betainc(self):

@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -5,6 +6,8 @@ import pytest
 
 from sessionterms import sources
 from sessionterms.actions import extract_pairs
+from sessionterms.cli import main
+from sessionterms.corpus import to_canonical_json
 from sessionterms.similarity import (
     DOCUMENT_KINDS,
     SNIPPET_KINDS,
@@ -201,7 +204,8 @@ class TestSharedSourceWork:
                     view = extract_source(imp, kind, corpus)
                     instances, ok = view.instances, view.complete or policy == EMPTY
                 if ok and instances:
-                    scores = _similarities(pair, instances, build_stats(corpus, base), 1.2, 0.75)
+                    scores = np.asarray(
+                        _similarities(pair, instances, build_stats(corpus, base), 1.2, 0.75))
                     samples[label].append(scores.mean(axis=0))
         table = source_comparison(pairs, corpus, policy)
         assert set(table.rows) == {label for label, rows in samples.items() if rows}
@@ -211,6 +215,38 @@ class TestSharedSourceWork:
             for i, col in enumerate(["terms", "jaccard", "cosine", "bm25"]):
                 assert table.value(label, col) == float(means[:, i].mean())
                 assert table.get(label, col).population == len(rows)
+
+    def test_analyze_sources_scores_each_pairs_snippets_once(self, tmp_path, monkeypatch):
+        """The rank-prefix, last-click and source tables share one scoring
+        of each pair's predecessor snippets."""
+        corpus = synth_corpus()
+        path = tmp_path / "corpus.json"
+        path.write_bytes(to_canonical_json(corpus))
+        scored = Counter()
+        similarities = sources._similarities
+
+        def counting(pair, bags, stats, k1, b):
+            if stats.kind is SourceKind.ALL_SNIPPETS:
+                scored[(pair.session_id, pair.position)] += 1
+            return similarities(pair, bags, stats, k1, b)
+
+        monkeypatch.setattr(sources, "_similarities", counting)
+        assert main(["analyze", "sources", "--corpus", str(path),
+                     "--out-dir", str(tmp_path / "reports")]) == 0
+        pairs = extract_pairs(corpus, include_test_queries=False)
+        assert len(pairs) > 10
+        assert set(scored) == {(p.session_id, p.position) for p in pairs
+                               if sources.predecessor_impression(corpus, p).results}
+        assert set(scored.values()) == {1}
+
+    def test_source_comparison_empties_the_snippet_score_memo(self):
+        corpus = synth_corpus()
+        pairs = extract_pairs(corpus)
+        rank_prefix_similarity(pairs, corpus)
+        last_click_similarity(pairs, corpus)
+        assert corpus.__dict__["_snippet_score_cache"]
+        source_comparison(pairs, corpus)
+        assert corpus.__dict__["_snippet_score_cache"] == {}
 
     @pytest.mark.parametrize("session_length", [6, 12])
     def test_source_comparison_builds_linear_impression_bags(self, session_length, monkeypatch):

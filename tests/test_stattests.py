@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from sessionterms.stattests import welch_t, wilcoxon_signed_rank
+from sessionterms.stattests import column_means, pairwise_mean, welch_t, wilcoxon_signed_rank
 
 # Frozen reference values for Welch's unequal-variance t-test,
 # cross-checked against an independent implementation.
@@ -177,3 +177,63 @@ class TestResultContract:
     def test_nan_free(self):
         for result in [welch_t([1, 2], [3, 4]), wilcoxon_signed_rank([1, -1, 2])]:
             assert not math.isnan(result.p_value)
+
+
+def _random_values(rng, n):
+    """Floats of mixed sign and scale (with the odd -0.0), or small ints."""
+    style = rng.randrange(4)
+    if style == 0:
+        return [rng.random() * rng.choice([1e-3, 1.0, 1e6]) for _ in range(n)]
+    if style == 1:
+        return [rng.gauss(0.0, 1e3) for _ in range(n)]
+    if style == 2:
+        return [rng.choice([-0.0, 0.0, rng.random(), -rng.random()]) for _ in range(n)]
+    return [rng.randint(0, 50) for _ in range(n)]
+
+
+def _random_length(rng):
+    """Mostly short lists, as the analyses average, and some past the
+    pairwise sum's block sizes (8, 128) and numpy's 8192-value buffer."""
+    draw = rng.random()
+    if draw < 0.6:
+        return rng.randint(1, 20)
+    return rng.randint(1, 300) if draw < 0.9 else rng.randint(1, 20000)
+
+
+class TestNumpyOrderMeans:
+    """The report floats were numpy means; the pure-Python helpers must
+    reproduce them bit for bit."""
+
+    def test_pairwise_mean_equals_np_mean(self):
+        np = pytest.importorskip("numpy")
+        rng = random.Random(20261018)
+        for _ in range(2000):
+            values = _random_values(rng, _random_length(rng))
+            assert pairwise_mean(values) == float(np.mean(values)), len(values)
+
+    def test_pairwise_mean_of_a_column_equals_strided_mean(self):
+        np = pytest.importorskip("numpy")
+        rng = random.Random(7)
+        for _ in range(300):
+            n, width = _random_length(rng), rng.randint(2, 5)
+            arr = np.array([_random_values(rng, width) for _ in range(n)], dtype=float)
+            rows = [tuple(row) for row in arr.tolist()]
+            for i in range(width):
+                assert pairwise_mean([row[i] for row in rows]) == float(arr[:, i].mean())
+
+    def test_column_means_equal_mean_over_axis_0(self):
+        np = pytest.importorskip("numpy")
+        rng = random.Random(11)
+        for _ in range(1000):
+            n, width = rng.choice([rng.randint(1, 20), rng.randint(1, 1000)]), rng.randint(2, 5)
+            rows = [tuple(map(float, _random_values(rng, width))) for _ in range(n)]
+            expected = np.asarray(rows, dtype=float).mean(axis=0)
+            assert column_means(rows) == [float(v) for v in expected]
+
+    def test_short_lists_sum_in_order_from_zero(self):
+        assert math.copysign(1.0, pairwise_mean([-0.0])) == 1.0
+        values = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7]
+        total = 0.0
+        for v in values:
+            total += v
+        assert pairwise_mean(values) == total / 7
