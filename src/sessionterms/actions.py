@@ -6,10 +6,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .corpus import Impression, Session
 from .report import ReportTable
 from .similarity import cosine_tf, jaccard
 from .stattests import pairwise_mean
-from .textnorm import TermBag
 
 DEFAULT_MAX_POSITION = 9
 
@@ -20,11 +20,35 @@ class EmptyInputError(ValueError):
 
 @dataclass(frozen=True)
 class QueryPair:
-    session_id: str
+    """Adjacent queries q_n -> q_{n+1} of a session: impressions n and
+    n+1, read as `before` and `after`."""
+
+    session: Session
     position: int  # n of the earlier query
-    qn_bag: TermBag
-    qn1_bag: TermBag
-    involves_test_query: bool
+
+    @property
+    def before(self) -> Impression:
+        return self.session.impressions[self.position - 1]
+
+    @property
+    def after(self) -> Impression:
+        return self.session.impressions[self.position]
+
+    @property
+    def session_id(self):
+        return self.session.id
+
+    @property
+    def qn_bag(self):
+        return self.before.query_terms
+
+    @property
+    def qn1_bag(self):
+        return self.after.query_terms
+
+    @property
+    def involves_test_query(self):
+        return self.after.is_test_query
 
     @property
     def qn(self):
@@ -49,23 +73,12 @@ class QueryPair:
 
 def extract_pairs(corpus, include_test_queries: bool = True):
     """One QueryPair per adjacent query couple per session."""
-    pairs = []
-    for session in corpus.sessions:
-        imps = session.impressions
-        for i in range(len(imps) - 1):
-            later_is_test = imps[i + 1].is_test_query
-            if later_is_test and not include_test_queries:
-                continue
-            pairs.append(
-                QueryPair(
-                    session_id=session.id,
-                    position=imps[i].position,
-                    qn_bag=imps[i].query_terms,
-                    qn1_bag=imps[i + 1].query_terms,
-                    involves_test_query=later_is_test,
-                )
-            )
-    return pairs
+    return [
+        QueryPair(session, imp.position)
+        for session in corpus.sessions
+        for imp, later in zip(session.impressions, session.impressions[1:])
+        if include_test_queries or not later.is_test_query
+    ]
 
 
 _SUMMARY_ROWS = [

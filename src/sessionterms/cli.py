@@ -7,8 +7,10 @@ analysis failure, 2 usage or input error: a bad flag (flag values are
 checked before any report is written, also those read from --config), a
 --config key that names no `analyze` option a config file can set (every
 option but --corpus and --config), a missing input file, malformed
-input, or input with nothing to analyze (such as any `analyze` on a
-corpus with no query pair; `metrics` without qrels only gives a notice).
+input (also a canonical corpus JSON with a missing key or a value of
+the wrong type), or input with nothing to analyze (such as any `analyze`
+on a corpus with no query pair, or `sources` on one where no pair's
+earlier query has results; `metrics` without qrels only gives a notice).
 """
 
 from __future__ import annotations
@@ -170,9 +172,9 @@ def _notice(args, message) -> int:
     return 0
 
 
-def _require_pairs(pairs, analysis):
+def _require_pairs(pairs, analysis, kind="pair"):
     if not pairs:
-        raise actions.EmptyInputError(f"analyze {analysis} requires at least one pair")
+        raise actions.EmptyInputError(f"analyze {analysis} requires at least one {kind}")
 
 
 def cmd_analyze(args) -> int:
@@ -217,7 +219,9 @@ def cmd_analyze(args) -> int:
             "fixed_query_similarity", args, corpus,
         )
     elif args.analysis == "sources":
-        _require_pairs(pairs, "sources")
+        # every source table skips a pair whose earlier query has no ranking
+        _require_pairs([p for p in pairs if p.before.results], "sources",
+                       "pair whose earlier query has results")
         _write_table(
             sources.rank_prefix_similarity(pairs, corpus, args.k_max, args.k1, args.b),
             "rank_prefix", args, corpus,

@@ -3,12 +3,11 @@
 Supports TREC Session Track style XML, 4-column qrels, a document-text
 sidecar directory and a versioned canonical JSON interchange format.
 Sessions, impressions, results and clicks are frozen dataclasses.
-`Corpus` is not: it is a plain mutable dataclass that fills four
+`Corpus` is not: it is a plain mutable dataclass that fills three
 per-instance memos on first use, so its fields must not change after
 that:
 
 - `doc_terms`: the normalized bag of each sidecar document;
-- `session_by_id`: an index of sessions by id;
 - `similarity.build_stats`: the collection statistics of each source
   kind;
 - `sources._snippet_scores`: the similarity rows of each pair's
@@ -132,14 +131,6 @@ class Corpus:
     docstore: dict = None
     provenance: str = ""
     incomplete_impressions: frozenset = frozenset()
-
-    def session_by_id(self, session_id):
-        """The first session with this id; KeyError if there is none."""
-        index = self.__dict__.get("_session_index")
-        if index is None:
-            index = {s.id: s for s in reversed(self.sessions)}
-            self.__dict__["_session_index"] = index
-        return index[session_id]
 
     def doc_terms(self, docid) -> TermBag | None:
         """Normalized term bag of a sidecar document, or None if absent.
@@ -506,16 +497,30 @@ def to_canonical_json(corpus: Corpus) -> bytes:
 
 
 def from_canonical_json(data: bytes) -> Corpus:
+    """The corpus of a canonical JSON document; IngestError when it
+    cannot be decoded, has another schema version, misses a key or holds
+    a value of the wrong type."""
     try:
         doc = json.loads(data)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise IngestError(f"cannot decode canonical JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise IngestError(f"canonical JSON must hold an object, not {type(doc).__name__}")
     version = doc.get("schema")
     if version != CANONICAL_SCHEMA_VERSION:
         raise IngestError(
             f"unsupported canonical schema version {version!r} "
             f"(expected {CANONICAL_SCHEMA_VERSION})"
         )
+    try:
+        return _corpus_from_doc(doc)
+    except KeyError as exc:
+        raise IngestError(f"canonical JSON: missing key {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise IngestError(f"canonical JSON: value of the wrong type: {exc}") from None
+
+
+def _corpus_from_doc(doc) -> Corpus:
     norm = doc["normalization"]
     config = NormalizationConfig(
         stoplist=frozenset(norm["stoplist"]),

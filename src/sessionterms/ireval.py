@@ -7,7 +7,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
 
 from .report import ReportTable
 from .scenarios import ADDED, EVAL_SCENARIOS, REMOVED, RETAINED
@@ -98,26 +97,26 @@ def impression_metrics(impression, topic_id, qrels, cutoff: int = DEFAULT_CUTOFF
     )
 
 
-def _require_qrels(corpus, caller):
-    if corpus.qrels is None:
+def _metrics_by_impression(corpus, caller, cutoff):
+    """{(session id, position): impression_metrics} of every non-test
+    impression of every session with a topic, in corpus order."""
+    qrels = corpus.qrels
+    if qrels is None:
         raise ValueError(f"{caller} requires relevance judgments")
-    return corpus.qrels
+    return {
+        (session.id, imp.position): impression_metrics(imp, session.topic_id, qrels, cutoff)
+        for session in corpus.sessions if session.topic_id is not None
+        for imp in session.impressions if not imp.is_test_query
+    }
 
 
 def metrics_by_position(corpus, cutoff: int = DEFAULT_CUTOFF):
     """Macro-averaged metrics per impression position, test queries
     excluded; returns [(position, mean_ndcg, mean_nerr, mean_map, count)]."""
-    qrels = _require_qrels(corpus, "metrics_by_position")
     grouped = {}
-    for session in corpus.sessions:
-        if session.topic_id is None:
-            continue
-        for imp in session.impressions:
-            if imp.is_test_query:
-                continue
-            grouped.setdefault(imp.position, []).append(
-                impression_metrics(imp, session.topic_id, qrels, cutoff)
-            )
+    for (_, position), values in _metrics_by_impression(
+            corpus, "metrics_by_position", cutoff).items():
+        grouped.setdefault(position, []).append(values)
     series = []
     for pos in sorted(grouped):
         rows = grouped[pos]
@@ -125,64 +124,35 @@ def metrics_by_position(corpus, cutoff: int = DEFAULT_CUTOFF):
     return series
 
 
-@dataclass(frozen=True)
-class MetricDelta:
-    metric: str
-    value_n: float
-    value_n1: float
-
-    @property
-    def delta(self):
-        return self.value_n1 - self.value_n
-
-
-def pair_metric_deltas(pair, corpus, qrels, cutoff: int = DEFAULT_CUTOFF):
-    """MetricDeltas between the two impressions of a pair, or None when
-    either side lacks a ranking or the session lacks a topic."""
-    session = corpus.session_by_id(pair.session_id)
-    if session.topic_id is None:
-        return None
-    imp_n = session.impressions[pair.position - 1]
-    imp_n1 = session.impressions[pair.position]
-    if not imp_n.results or not imp_n1.results:
-        return None
-    values_n = impression_metrics(imp_n, session.topic_id, qrels, cutoff)
-    values_n1 = impression_metrics(imp_n1, session.topic_id, qrels, cutoff)
-    return {
-        metric: MetricDelta(metric, vn, vn1)
-        for metric, vn, vn1 in zip(METRICS, values_n, values_n1)
-    }
-
-
 def scenario_metric_eval(records, corpus, cutoff: int = DEFAULT_CUTOFF,
                          alpha: float = 0.05) -> ReportTable:
     """Mean metric change from q_n to q_{n+1} per term action and
-    scenario, with Wilcoxon signed-rank significance at p < alpha."""
-    qrels = _require_qrels(corpus, "scenario_metric_eval")
-    delta_cache = {}
+    scenario, with Wilcoxon signed-rank significance at p < alpha.
+    A record counts only when both impressions of its pair are scored:
+    its session has a topic and both rankings are non-empty."""
+    metrics = _metrics_by_impression(corpus, "scenario_metric_eval", cutoff)
     grouped = {}
     for rec in records:
         if rec.scenario not in EVAL_SCENARIOS:
             continue
-        # A record names its pair by (session_id, position), as a QueryPair does.
-        key = (rec.session_id, rec.position)
-        if key not in delta_cache:
-            delta_cache[key] = pair_metric_deltas(rec, corpus, qrels, cutoff)
-        deltas = delta_cache[key]
-        if deltas is None:
+        before = metrics.get((rec.session_id, rec.position))
+        after = metrics.get((rec.session_id, rec.position + 1))
+        if before is None or after is None:
             continue
-        grouped.setdefault((rec.action, rec.scenario), []).append(deltas)
+        grouped.setdefault((rec.action, rec.scenario), []).append(
+            [a - b for a, b in zip(after, before)]
+        )
 
     columns = [str(s) for s in EVAL_SCENARIOS]
     table = ReportTable(title="Metric change by term action and scenario", columns=columns)
     for action in (RETAINED, REMOVED, ADDED):
-        for metric in METRICS:
+        for i, metric in enumerate(METRICS):
             row = f"{action}/{metric}"
             for scenario in EVAL_SCENARIOS:
                 cell = grouped.get((action, scenario))
                 if not cell:
                     continue
-                values = [d[metric].delta for d in cell]
+                values = [deltas[i] for deltas in cell]
                 mean = pairwise_mean(values)
                 nonzero = [v for v in values if v != 0.0]
                 if len(nonzero) < 2:
@@ -202,17 +172,11 @@ def scenario_metric_eval(records, corpus, cutoff: int = DEFAULT_CUTOFF,
 
 def metrics_csv(corpus, cutoff: int = DEFAULT_CUTOFF) -> str:
     """Per-impression metric dump (session, position, metric, value)."""
-    qrels = _require_qrels(corpus, "metrics_csv")
+    metrics = _metrics_by_impression(corpus, "metrics_csv", cutoff)
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["session", "position", "metric", "value"])
-    for session in corpus.sessions:
-        if session.topic_id is None:
-            continue
-        for imp in session.impressions:
-            if imp.is_test_query:
-                continue
-            values = impression_metrics(imp, session.topic_id, qrels, cutoff)
-            for metric, value in zip(METRICS, values):
-                writer.writerow([session.id, imp.position, metric, repr(value)])
+    for (session_id, position), values in metrics.items():
+        for metric, value in zip(METRICS, values):
+            writer.writerow([session_id, position, metric, repr(value)])
     return out.getvalue()

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .actions import EmptyInputError
 from .report import ReportTable
-from .sources import DROP, SourceKind, extract_source, predecessor_impression
+from .sources import DROP, SourceKind, extract_source
 from .stattests import pairwise_mean
 
 QUERY_TERM = "query-term"
@@ -70,8 +70,7 @@ def assign_scenarios(pairs, corpus, docstore_policy: str = DROP):
     for pair in pairs:
         if pair.involves_test_query:
             raise ValueError("scenario assignment requires pairs without test queries")
-        imp = predecessor_impression(corpus, pair)
-        successor = corpus.session_by_id(pair.session_id).impressions[pair.position]
+        imp = pair.before
         ncs_terms = set()
         cs_terms = set()
         for bag in extract_source(imp, SourceKind.NON_CLICKED_SNIPPETS, corpus).instances:
@@ -92,7 +91,7 @@ def assign_scenarios(pairs, corpus, docstore_policy: str = DROP):
             else:
                 # no docstore at all: snippet-only run, cd bit unavailable
                 cd_available = False
-        clicked_next = bool(successor.clicks)
+        clicked_next = bool(pair.after.clicks)
         m = len(imp.results)
         n_clicks = len(imp.clicks)
 

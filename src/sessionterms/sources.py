@@ -137,10 +137,6 @@ def iter_source_instances(corpus, kind: SourceKind):
             yield from extract_source(imp, kind, corpus).instances
 
 
-def predecessor_impression(corpus, pair):
-    return corpus.session_by_id(pair.session_id).impressions[pair.position - 1]
-
-
 def _added_bag(pair) -> TermBag:
     added = pair.added
     return TermBag({t: pair.qn1_bag.counts[t] for t in added})
@@ -162,7 +158,7 @@ def _similarities(pair, bags, stats, k1, b):
     ]
 
 
-def _snippet_scores(pair, imp, stats, corpus, k1, b, last_use=False):
+def _snippet_scores(pair, stats, corpus, k1, b, last_use=False):
     """`_similarities` rows of the predecessor impression's snippets
     against `stats` (the corpus's ALL_SNIPPETS statistics), memoized per
     corpus, pair and k1/b: the rank-prefix, last-click and source tables
@@ -173,7 +169,7 @@ def _snippet_scores(pair, imp, stats, corpus, k1, b, last_use=False):
     key = (pair.session_id, pair.position, k1, b)
     rows = cache.pop(key, None) if last_use else cache.get(key)
     if rows is None:
-        rows = _similarities(pair, [r.terms for r in imp.results], stats, k1, b)
+        rows = _similarities(pair, [r.terms for r in pair.before.results], stats, k1, b)
         if not last_use:
             cache[key] = rows
     return rows
@@ -189,10 +185,10 @@ def _prefix_cut_similarity(pairs, corpus, title, columns, cuts, k1, b) -> Report
     stats = build_stats(corpus, SourceKind.ALL_SNIPPETS)
     per_col = {col: [] for col in columns}
     for pair in pairs:
-        imp = predecessor_impression(corpus, pair)
+        imp = pair.before
         if not imp.results:
             continue
-        scores = _snippet_scores(pair, imp, stats, corpus, k1, b)
+        scores = _snippet_scores(pair, stats, corpus, k1, b)
         for col, cut in zip(columns, cuts(imp)):
             per_col[col].append([pairwise_mean(m) for m in zip(*scores[:cut])])
     table = ReportTable(title=title, columns=columns)
@@ -280,14 +276,14 @@ def source_comparison(pairs, corpus, docstore_policy: str = DROP,
         if scores:
             samples[label].append(column_means(scores))
 
-    session_id, session_bags = None, None
+    session, session_bags = None, None
     for pair in pairs:
-        imp = predecessor_impression(corpus, pair)
+        imp = pair.before
         if not imp.results:
             continue
         clicked_ranks = imp.clicked_ranks
         clicked = [r.rank in clicked_ranks for r in imp.results]
-        snippets = _snippet_scores(pair, imp, stats[SourceKind.ALL_SNIPPETS], corpus, k1, b,
+        snippets = _snippet_scores(pair, stats[SourceKind.ALL_SNIPPETS], corpus, k1, b,
                                    last_use=True)
         add_sample("s(M)", snippets)
         add_sample("cs", [row for row, c in zip(snippets, clicked) if c])
@@ -305,9 +301,9 @@ def source_comparison(pairs, corpus, docstore_policy: str = DROP,
             if drop_incomplete and None in chosen:
                 continue
             add_sample(label, [row for row in chosen if row is not None])
-        if pair.session_id != session_id:
-            session_id = pair.session_id
-            session_bags = list(_historical_prefixes(corpus, corpus.session_by_id(session_id)))
+        if pair.session is not session:
+            session = pair.session
+            session_bags = list(_historical_prefixes(corpus, session))
         view, historical = session_bags[pair.position - 1]
         if view.complete or not drop_incomplete:
             add_sample(
@@ -371,7 +367,7 @@ def dwell_threshold_curve(pairs, corpus, thresholds=DEFAULT_DWELL_THRESHOLDS,
     stats = build_stats(corpus, SourceKind.ALL_DOCUMENTS)
     prepared = []
     for pair in pairs:
-        imp = predecessor_impression(corpus, pair)
+        imp = pair.before
         if not imp.results or not imp.clicks:
             continue
         dwell = total_dwell_by_docid(imp)

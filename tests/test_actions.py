@@ -41,6 +41,19 @@ class TestExtractPairs:
         assert len(pairs) == 1
         assert not pairs[0].involves_test_query
 
+    def test_pair_reads_its_sessions_impressions(self, small_corpus):
+        session = small_corpus.sessions[0]
+        pairs = extract_pairs(small_corpus)
+        assert len(pairs) == 2
+        for pair, before, after in zip(pairs, session.impressions, session.impressions[1:]):
+            assert pair.session is session
+            assert pair.before is before and pair.after is after
+            assert pair.session_id == session.id
+            assert pair.qn_bag is before.query_terms
+            assert pair.qn1_bag is after.query_terms
+            assert pair.involves_test_query == after.is_test_query
+        assert pairs[-1].after.is_test_query  # the session's third query
+
     def test_single_query_session_yields_no_pairs(self, plain_config):
         corpus = make_corpus(
             [("x", None, [make_impression(1, "q", plain_config, snippets=["s"])])],

@@ -247,6 +247,26 @@ ONE_QUERY_XML = """<sessions>
 </sessions>
 """
 
+# A query without results, then a ranked query: one pair, and nothing
+# ranked before its added terms.
+NO_RANKED_PREDECESSOR_XML = """<sessions>
+  <session num="1">
+    <topic num="T"/>
+    <interaction>
+      <currentquery>gun control</currentquery>
+    </interaction>
+    <interaction>
+      <currentquery>gun violence</currentquery>
+      <results>
+        <result rank="1"><url>u</url><docid>dA</docid><title>t</title>
+          <snippet>gun violence news</snippet></result>
+      </results>
+      <clicked><click starttime="0" endtime="30"><rank>1</rank></click></clicked>
+    </interaction>
+  </session>
+</sessions>
+"""
+
 
 def _bad_xml(old, new):
     """Ingest SESSION_XML with its first `old` replaced by `new`."""
@@ -257,16 +277,38 @@ def _bad_xml(old, new):
     return argv
 
 
-def _zero_pairs(analysis, with_qrels=False):
-    """Run an analysis on a corpus of one single-query session."""
+def _analyze_xml(analysis, xml, with_qrels=False):
+    """Run an analysis on the corpus ingested from `xml`."""
     def argv(workspace):
-        (workspace / "one.xml").write_text(ONE_QUERY_XML)
+        (workspace / "one.xml").write_text(xml)
         qrels = ["--qrels", str(workspace / "qrels.txt")] if with_qrels else []
         assert main(["ingest", "--trec-xml", str(workspace / "one.xml"), *qrels,
                      "--out", str(workspace / "one.json")]) == 0
         return ["analyze", analysis, "--corpus", str(workspace / "one.json"),
                 "--out-dir", str(workspace / "reports")]
     return argv
+
+
+def _zero_pairs(analysis, with_qrels=False):
+    """Run an analysis on a corpus of one single-query session."""
+    return _analyze_xml(analysis, ONE_QUERY_XML, with_qrels)
+
+
+def _canonical_json(edit):
+    """Run `analyze pairs` on the workspace corpus JSON as `edit(doc)`
+    rewrites it."""
+    def argv(workspace):
+        run_ingest(workspace)
+        path = workspace / "corpus.json"
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        return ["analyze", "pairs", "--corpus", str(path),
+                "--out-dir", str(workspace / "reports")]
+    return argv
+
+
+def _without_raw_query(doc):
+    del doc["sessions"][0]["impressions"][0]["raw_query"]
+    return doc
 
 
 def _config_not_object(workspace):
@@ -326,6 +368,10 @@ EXIT_2_CASES = {
     "sources-on-zero-pairs": _zero_pairs("sources"),
     "positions-on-zero-pairs": _zero_pairs("positions"),
     "metrics-on-zero-pairs": _zero_pairs("metrics", with_qrels=True),
+    "sources-no-ranked-predecessor": _analyze_xml("sources", NO_RANKED_PREDECESSOR_XML),
+    "canonical-json-schema-only": _canonical_json(lambda doc: {"schema": 1}),
+    "canonical-json-array": _canonical_json(lambda doc: [1, 2]),
+    "canonical-json-impression-without-raw-query": _canonical_json(_without_raw_query),
     "missing-corpus-file": lambda workspace: [
         "analyze", "pairs", "--corpus", str(workspace / "missing.json"),
         "--out-dir", str(workspace / "reports"),

@@ -288,23 +288,3 @@ class TestValidation:
         b = make_corpus([("x", None, [imp])], plain_config)
         merged = merge([a, b])
         assert {s.id for s in merged.sessions} == {"x", "1:x"}
-
-
-class TestSessionLookup:
-    def test_session_by_id(self, plain_config):
-        imp = make_impression(1, "q", plain_config, snippets=["s"])
-        corpus = make_corpus([("x", None, [imp]), ("y", "t", [imp])], plain_config)
-        assert [corpus.session_by_id(s) for s in ("y", "x")] == [
-            corpus.sessions[1], corpus.sessions[0]
-        ]
-        with pytest.raises(KeyError):
-            corpus.session_by_id("z")
-
-    def test_replace_copy_indexes_its_own_sessions(self, plain_config):
-        imp = make_impression(1, "q", plain_config, snippets=["s"])
-        corpus = make_corpus([("x", None, [imp])], plain_config)
-        corpus.session_by_id("x")
-        renamed = replace(corpus, sessions=(replace(corpus.sessions[0], id="w"),))
-        assert renamed.session_by_id("w").id == "w"
-        with pytest.raises(KeyError):
-            renamed.session_by_id("x")

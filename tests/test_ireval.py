@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+from sessionterms import ireval
 from sessionterms.actions import extract_pairs
 from sessionterms.corpus import RelevanceJudgments
 from sessionterms.ireval import (
@@ -16,10 +17,9 @@ from sessionterms.ireval import (
     metrics_csv,
     ndcg_at_k,
     nerr_at_k,
-    pair_metric_deltas,
     scenario_metric_eval,
 )
-from sessionterms.scenarios import ADDED, assign_scenarios
+from sessionterms.scenarios import ADDED, REMOVED, assign_scenarios
 
 from conftest import make_corpus, make_impression
 
@@ -186,25 +186,31 @@ class TestImpressionMetrics:
         assert metrics_by_position(combined)[0][4] == 1
 
 
+def _metric_eval(corpus):
+    return scenario_metric_eval(assign_scenarios(extract_pairs(corpus), corpus), corpus)
+
+
 class TestPairDeltas:
+    """A cell of scenario_metric_eval averages after - before over the
+    pairs of its records. In `eval_corpus` only the removed term "b"
+    falls in an evaluated scenario (1: in no source)."""
+
     def test_delta_signs(self, eval_corpus):
-        pair = extract_pairs(eval_corpus)[0]
-        deltas = pair_metric_deltas(pair, eval_corpus, eval_corpus.qrels)
-        assert set(deltas) == set(METRICS)
-        for metric in METRICS:
-            assert deltas[metric].delta > 0  # second ranking is better
+        table = _metric_eval(eval_corpus)
+        assert set(table.cells) == {(f"{REMOVED}/{metric}", "1") for metric in METRICS}
+        for cell in table.cells.values():
+            assert cell.value > 0  # second ranking is better
 
     def test_delta_is_difference(self, eval_corpus):
-        pair = extract_pairs(eval_corpus)[0]
-        deltas = pair_metric_deltas(pair, eval_corpus, eval_corpus.qrels)
-        d = deltas["MAP"]
-        assert d.delta == pytest.approx(d.value_n1 - d.value_n)
-        assert d.value_n == pytest.approx(1 / 6)
-        assert d.value_n1 == pytest.approx(2 / 3)
+        assert _metric_eval(eval_corpus).value(f"{REMOVED}/MAP", "1") == pytest.approx(
+            2 / 3 - 1 / 6)
 
-    def test_topicless_pair_returns_none(self, session40_corpus):
-        pair = extract_pairs(session40_corpus)[0]
-        assert pair_metric_deltas(pair, session40_corpus, RelevanceJudgments()) is None
+    def test_topicless_pair_adds_no_cell(self, eval_corpus):
+        topicless = replace(eval_corpus.sessions[0], id="no-topic", topic_id=None)
+        combined = replace(eval_corpus, sessions=(*eval_corpus.sessions, topicless))
+        records = assign_scenarios(extract_pairs(combined), combined)
+        assert {r.session_id for r in records} == {"e", "no-topic"}
+        assert scenario_metric_eval(records, combined).cells == _metric_eval(eval_corpus).cells
 
 
 def improvement_corpus(plain_config, n_sessions=12):
@@ -249,19 +255,34 @@ class _CountingGrades(dict):
         return self._walk(super().__iter__())
 
 
-def test_metrics_pass_walks_judgments_a_bounded_number_of_times(plain_config):
-    """The tables of `analyze metrics` look judgments up per topic; they
-    do not scan every judgment for each impression."""
+def test_metrics_pass_walks_judgments_a_bounded_number_of_times(plain_config, monkeypatch):
+    """The tables of `analyze metrics` look judgments up per topic, and
+    each table scores each impression once; they do not scan every
+    judgment for each impression, nor score an impression again for
+    each pair it is in."""
+    scored = []
+    score = ireval.impression_metrics
+
+    def counting(*args, **kwargs):
+        scored.append(args[0])
+        return score(*args, **kwargs)
+
+    monkeypatch.setattr(ireval, "impression_metrics", counting)
     walks = {}
     for n_sessions in (3, 24):
         corpus = improvement_corpus(plain_config, n_sessions)
+        third = make_impression(3, "a d", plain_config, snippets=["v"], docids=["X"])
+        corpus = replace(corpus, sessions=tuple(
+            replace(s, impressions=(*s.impressions, third)) for s in corpus.sessions))
         grades = _CountingGrades(corpus.qrels.grades)  # same judgments
         corpus.qrels.grades = grades
         records = assign_scenarios(extract_pairs(corpus), corpus)
+        scored.clear()
         scenario_metric_eval(records, corpus)
         metrics_by_position(corpus)
         metrics_csv(corpus)
         walks[n_sessions] = grades.walks
+        assert len(scored) == 3 * 3 * n_sessions  # 3 tables x 3 impressions
     assert walks[3] == walks[24] <= 1, walks
 
 

@@ -191,10 +191,10 @@ class TestSharedSourceWork:
         pairs = extract_pairs(corpus)
         samples = {label: [] for label, _ in SOURCE_ROWS}
         for pair in pairs:
-            imp = sources.predecessor_impression(corpus, pair)
+            imp = pair.before
             if not imp.results:
                 continue
-            session = corpus.session_by_id(pair.session_id)
+            session = pair.session
             for label, kind in SOURCE_ROWS:
                 base = (SourceKind.ALL_SNIPPETS if kind in SNIPPET_KINDS
                         else SourceKind.ALL_DOCUMENTS if kind in DOCUMENT_KINDS else kind)
@@ -236,7 +236,7 @@ class TestSharedSourceWork:
         pairs = extract_pairs(corpus, include_test_queries=False)
         assert len(pairs) > 10
         assert set(scored) == {(p.session_id, p.position) for p in pairs
-                               if sources.predecessor_impression(corpus, p).results}
+                               if p.before.results}
         assert set(scored.values()) == {1}
 
     def test_source_comparison_empties_the_snippet_score_memo(self):
