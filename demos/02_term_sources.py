@@ -13,6 +13,7 @@ from sessionterms.sources import (
     dwell_threshold_curve,
     last_click_similarity,
     rank_prefix_similarity,
+    score_pairs,
     source_comparison,
 )
 
@@ -32,18 +33,19 @@ def main():
     corpus = generate(spec)
     pairs = extract_pairs(corpus)
     print(f"{len(pairs)} adjacent query pairs from {len(corpus.sessions)} sessions\n")
+    scored = score_pairs(pairs, corpus)
 
-    print(source_comparison(pairs, corpus).to_markdown())
+    print(source_comparison(scored).to_markdown())
     print("cs/cd rows in bold beat both the non-clicked and the 'all' "
           "variants at p < 0.01 under Welch's t-test.\n")
 
-    print(rank_prefix_similarity(pairs, corpus, k_max=4).to_markdown())
+    print(rank_prefix_similarity(scored, k_max=4).to_markdown())
     print("clicks concentrate at rank 1 here, so shallow prefixes are "
           "more similar to the added terms than deep ones.\n")
 
-    print(last_click_similarity(pairs, corpus).to_markdown())
+    print(last_click_similarity(scored).to_markdown())
 
-    curve = dwell_threshold_curve(pairs, corpus)
+    curve = dwell_threshold_curve(scored)
     print("dwell threshold sweep (clicked documents only):")
     for tau, mean, surviving in curve:
         print(f"  >= {tau:4.0f}s  mean cosine {mean:.4f}  ({surviving} docs)")

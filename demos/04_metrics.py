@@ -17,7 +17,7 @@ from sessionterms.corpus import (
     SnippetEntry,
 )
 from sessionterms.actions import extract_pairs
-from sessionterms.ireval import metrics_by_position, scenario_metric_eval
+from sessionterms.ireval import metrics_by_position, scenario_metric_eval, score_impressions
 from sessionterms.scenarios import assign_scenarios
 
 CONFIG = NormalizationConfig(stoplist=frozenset(), stemming_enabled=False)
@@ -68,13 +68,14 @@ def main():
     corpus = build_corpus()
 
     print("macro-averaged metrics by query position:")
-    for pos, ndcg, nerr, ap, count in metrics_by_position(corpus):
+    metrics = score_impressions(corpus)
+    for pos, ndcg, nerr, ap, count in metrics_by_position(metrics):
         print(f"  position {pos}: NDCG@10 {ndcg:.4f}  NERR@10 {nerr:.4f}  "
               f"MAP {ap:.4f}  ({count} impressions)")
     print()
 
     records = assign_scenarios(extract_pairs(corpus), corpus)
-    table = scenario_metric_eval(records, corpus)
+    table = scenario_metric_eval(records, metrics)
     print(table.to_markdown())
     print("every session improves identically, so the added-term rows are "
           "uniformly positive and the Wilcoxon signed-rank test marks them "

@@ -29,6 +29,7 @@ from .ireval import (
     ndcg_at_k,
     nerr_at_k,
     scenario_metric_eval,
+    score_impressions,
 )
 from .report import Cell, ReportTable
 from .scenarios import (
@@ -56,6 +57,7 @@ from .sources import (
     historical_terms,
     last_click_similarity,
     rank_prefix_similarity,
+    score_pairs,
     source_comparison,
 )
 from .stattests import TestResult, welch_t, wilcoxon_signed_rank

@@ -9,8 +9,10 @@ checked before any report is written, also those read from --config), a
 option but --corpus and --config), a missing input file, malformed
 input (also a canonical corpus JSON with a missing key or a value of
 the wrong type), or input with nothing to analyze (such as any `analyze`
-on a corpus with no query pair, or `sources` on one where no pair's
-earlier query has results; `metrics` without qrels only gives a notice).
+on a corpus with no query pair, `sources` on one where no pair's earlier
+query has results, or `sources` with --docs where no such pair has a
+clicked document with text under --docstore-policy; `metrics` without
+qrels only gives a notice).
 """
 
 from __future__ import annotations
@@ -219,28 +221,20 @@ def cmd_analyze(args) -> int:
             "fixed_query_similarity", args, corpus,
         )
     elif args.analysis == "sources":
-        # every source table skips a pair whose earlier query has no ranking
-        _require_pairs([p for p in pairs if p.before.results], "sources",
-                       "pair whose earlier query has results")
-        _write_table(
-            sources.rank_prefix_similarity(pairs, corpus, args.k_max, args.k1, args.b),
-            "rank_prefix", args, corpus,
-        )
-        _write_table(
-            sources.last_click_similarity(pairs, corpus, args.k1, args.b),
-            "last_click", args, corpus,
-        )
-        _write_table(
-            sources.source_comparison(pairs, corpus, args.docstore_policy, args.k1, args.b),
-            "source_comparison", args, corpus,
-        )
+        scored = sources.score_pairs(pairs, corpus, args.k1, args.b)
+        _require_pairs(scored, "sources", "pair whose earlier query has results")
+        curve = None  # computed first: a curve with no document exits 2 before any write
         if corpus.docstore:
-            _write_series(
-                sources.dwell_threshold_curve(pairs, corpus, args.dwell_thresholds,
-                                              args.docstore_policy),
-                ["threshold", "mean_cosine", "surviving_docs"],
-                "dwell_thresholds", args, corpus,
-            )
+            curve = sources.dwell_threshold_curve(scored, args.dwell_thresholds,
+                                                  args.docstore_policy)
+        _write_table(sources.rank_prefix_similarity(scored, args.k_max), "rank_prefix",
+                     args, corpus)
+        _write_table(sources.last_click_similarity(scored), "last_click", args, corpus)
+        _write_table(sources.source_comparison(scored, args.docstore_policy),
+                     "source_comparison", args, corpus)
+        if curve is not None:
+            _write_series(curve, ["threshold", "mean_cosine", "surviving_docs"],
+                          "dwell_thresholds", args, corpus)
         else:
             rc = max(rc, _notice(args, "dwell threshold curve requires --docs"))
     elif args.analysis == "scenarios":
@@ -262,16 +256,15 @@ def cmd_analyze(args) -> int:
         _require_pairs(pairs, "metrics")
         eligible = [p for p in pairs if not p.involves_test_query]
         records = scenarios.assign_scenarios(eligible, corpus, args.docstore_policy)
-        _write_table(
-            ireval.scenario_metric_eval(records, corpus, cutoff=args.cutoff),
-            "scenario_metric_eval", args, corpus,
-        )
+        metrics = ireval.score_impressions(corpus, args.cutoff)
+        _write_table(ireval.scenario_metric_eval(records, metrics), "scenario_metric_eval",
+                     args, corpus)
         _write_series(
-            ireval.metrics_by_position(corpus, cutoff=args.cutoff),
+            ireval.metrics_by_position(metrics),
             ["position", "mean_ndcg", "mean_nerr", "mean_map", "impressions"],
             "metrics_by_position", args, corpus,
         )
-        _write_text(ireval.metrics_csv(corpus, cutoff=args.cutoff), "impression_metrics.csv", args)
+        _write_text(ireval.metrics_csv(metrics), "impression_metrics.csv", args)
     return rc
 
 

@@ -3,16 +3,13 @@
 Supports TREC Session Track style XML, 4-column qrels, a document-text
 sidecar directory and a versioned canonical JSON interchange format.
 Sessions, impressions, results and clicks are frozen dataclasses.
-`Corpus` is not: it is a plain mutable dataclass that fills three
+`Corpus` is not: it is a plain mutable dataclass that fills two
 per-instance memos on first use, so its fields must not change after
 that:
 
 - `doc_terms`: the normalized bag of each sidecar document;
 - `similarity.build_stats`: the collection statistics of each source
-  kind;
-- `sources._snippet_scores`: the similarity rows of each pair's
-  predecessor snippets per k1/b, scored once for the rank-prefix and
-  last-click tables and taken out again by `source_comparison`.
+  kind.
 
 A copy made with `dataclasses.replace` starts with empty memos.
 

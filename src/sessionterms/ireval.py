@@ -1,5 +1,8 @@
 """Graded-relevance ranking metrics (NDCG@10, NERR@10, MAP) and their
 per-scenario and per-position evaluation over adjacent query pairs.
+
+`score_impressions` scores each impression once; the three metric
+tables only aggregate its dict.
 """
 
 from __future__ import annotations
@@ -97,12 +100,12 @@ def impression_metrics(impression, topic_id, qrels, cutoff: int = DEFAULT_CUTOFF
     )
 
 
-def _metrics_by_impression(corpus, caller, cutoff):
+def score_impressions(corpus, cutoff: int = DEFAULT_CUTOFF):
     """{(session id, position): impression_metrics} of every non-test
     impression of every session with a topic, in corpus order."""
     qrels = corpus.qrels
     if qrels is None:
-        raise ValueError(f"{caller} requires relevance judgments")
+        raise ValueError("score_impressions requires relevance judgments")
     return {
         (session.id, imp.position): impression_metrics(imp, session.topic_id, qrels, cutoff)
         for session in corpus.sessions if session.topic_id is not None
@@ -110,12 +113,11 @@ def _metrics_by_impression(corpus, caller, cutoff):
     }
 
 
-def metrics_by_position(corpus, cutoff: int = DEFAULT_CUTOFF):
-    """Macro-averaged metrics per impression position, test queries
-    excluded; returns [(position, mean_ndcg, mean_nerr, mean_map, count)]."""
+def metrics_by_position(metrics):
+    """Macro-averaged `score_impressions` metrics per impression position;
+    returns [(position, mean_ndcg, mean_nerr, mean_map, count)]."""
     grouped = {}
-    for (_, position), values in _metrics_by_impression(
-            corpus, "metrics_by_position", cutoff).items():
+    for (_, position), values in metrics.items():
         grouped.setdefault(position, []).append(values)
     series = []
     for pos in sorted(grouped):
@@ -124,13 +126,12 @@ def metrics_by_position(corpus, cutoff: int = DEFAULT_CUTOFF):
     return series
 
 
-def scenario_metric_eval(records, corpus, cutoff: int = DEFAULT_CUTOFF,
-                         alpha: float = 0.05) -> ReportTable:
+def scenario_metric_eval(records, metrics, alpha: float = 0.05) -> ReportTable:
     """Mean metric change from q_n to q_{n+1} per term action and
     scenario, with Wilcoxon signed-rank significance at p < alpha.
-    A record counts only when both impressions of its pair are scored:
-    its session has a topic and both rankings are non-empty."""
-    metrics = _metrics_by_impression(corpus, "scenario_metric_eval", cutoff)
+    A record counts only when `metrics` (from `score_impressions`) holds
+    both impressions of its pair: its session has a topic and both
+    rankings are non-empty."""
     grouped = {}
     for rec in records:
         if rec.scenario not in EVAL_SCENARIOS:
@@ -170,9 +171,8 @@ def scenario_metric_eval(records, corpus, cutoff: int = DEFAULT_CUTOFF,
     return table
 
 
-def metrics_csv(corpus, cutoff: int = DEFAULT_CUTOFF) -> str:
+def metrics_csv(metrics) -> str:
     """Per-impression metric dump (session, position, metric, value)."""
-    metrics = _metrics_by_impression(corpus, "metrics_csv", cutoff)
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["session", "position", "metric", "value"])

@@ -153,13 +153,14 @@ def cosine_tfidf(a: TermBag, b: TermBag, stats: CollectionStats) -> float:
 
 def bm25(query_terms: set, doc: TermBag, stats: CollectionStats,
          k1: float = 1.2, b: float = 0.75) -> float:
-    """Okapi BM25 of a term set against a document bag."""
+    """Okapi BM25 of a term set against a document bag, summed in sorted
+    (not set) term order."""
     if stats.N == 0 or not doc.counts:
         return 0.0
     dl = doc.length
     length_norm = k1 * (1.0 - b + b * dl / stats.avgdl) if stats.avgdl > 0 else k1
     score = 0.0
-    for term in query_terms:
+    for term in sorted(query_terms):
         tf = doc.counts.get(term, 0)
         if tf == 0:
             continue

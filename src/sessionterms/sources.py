@@ -1,6 +1,9 @@
 """Click-differentiated impression term sources and their similarity to
 added terms: rank-prefix analysis, last-click windows, source comparison
 with significance marks, historical terms and dwell-time thresholds.
+
+`score_pairs` scores each pair once against every source; the four
+tables only aggregate those scores and apply the docstore policy.
 """
 
 from __future__ import annotations
@@ -8,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice
 
+from .actions import EmptyInputError, QueryPair
 from .report import ReportTable
 from .similarity import (
     DOCUMENT_KINDS,
@@ -138,8 +142,8 @@ def iter_source_instances(corpus, kind: SourceKind):
 
 
 def _added_bag(pair) -> TermBag:
-    added = pair.added
-    return TermBag({t: pair.qn1_bag.counts[t] for t in added})
+    """Added terms with their q_{n+1} counts, in sorted (not set) order."""
+    return TermBag({t: pair.qn1_bag.counts[t] for t in sorted(pair.added)})
 
 
 def _similarities(pair, bags, stats, k1, b):
@@ -158,39 +162,69 @@ def _similarities(pair, bags, stats, k1, b):
     ]
 
 
-def _snippet_scores(pair, stats, corpus, k1, b, last_use=False):
-    """`_similarities` rows of the predecessor impression's snippets
-    against `stats` (the corpus's ALL_SNIPPETS statistics), memoized per
-    corpus, pair and k1/b: the rank-prefix, last-click and source tables
-    all read the same rows. `last_use` takes the rows out of the memo;
-    `source_comparison`, the last of the three in `analyze sources`,
-    does, so the memo is empty by that command's peak memory."""
-    cache = corpus.__dict__.setdefault("_snippet_score_cache", {})
-    key = (pair.session_id, pair.position, k1, b)
-    rows = cache.pop(key, None) if last_use else cache.get(key)
-    if rows is None:
-        rows = _similarities(pair, [r.terms for r in pair.before.results], stats, k1, b)
-        if not last_use:
-            cache[key] = rows
-    return rows
+@dataclass(frozen=True, slots=True)
+class ScoredPair:
+    """`_similarities` rows of a pair's added terms against each term
+    source of its earlier impression. `snippets` and `documents` hold one
+    row per result; a document row is None when its text is missing.
+    Without a docstore `documents`, `impression` and `historical` are
+    None. `impression_complete`: every clicked document has text."""
+
+    pair: QueryPair
+    snippets: list
+    documents: list | None = None
+    impression: tuple | None = None
+    impression_complete: bool = False
+    historical: tuple | None = None
+
+
+def score_pairs(pairs, corpus, k1: float = 1.2, b: float = 0.75) -> list:
+    """A ScoredPair for each pair whose earlier query has results, in
+    pair order, for every table of `analyze sources` to share. Each
+    source is scored against the collection statistics of its kind
+    (snippets against all snippets, documents against all documents);
+    impression and historical bags are built once per session."""
+    snippet_stats = build_stats(corpus, SourceKind.ALL_SNIPPETS)
+    if corpus.docstore:
+        doc_stats, impression_stats, historical_stats = (
+            build_stats(corpus, kind) for kind in
+            (SourceKind.ALL_DOCUMENTS, SourceKind.IMPRESSION, SourceKind.HISTORICAL))
+    scored = []
+    session, session_bags = None, None
+    for pair in pairs:
+        imp = pair.before
+        if not imp.results:
+            continue
+        snippets = _similarities(pair, [r.terms for r in imp.results], snippet_stats, k1, b)
+        if not corpus.docstore:
+            scored.append(ScoredPair(pair, snippets))
+            continue
+        bags = [corpus.doc_terms(r.docid) for r in imp.results]
+        rows = iter(_similarities(pair, [bag for bag in bags if bag is not None],
+                                  doc_stats, k1, b))
+        documents = [None if bag is None else next(rows) for bag in bags]
+        if pair.session is not session:
+            session = pair.session
+            session_bags = list(_historical_prefixes(corpus, session))
+        view, historical = session_bags[pair.position - 1]
+        [impression] = _similarities(pair, view.instances, impression_stats, k1, b)
+        [historical] = _similarities(pair, [historical], historical_stats, k1, b)
+        scored.append(ScoredPair(pair, snippets, documents, impression, view.complete,
+                                 historical))
+    return scored
 
 
 _MEASURES = ["snippet_terms", "jaccard", "cosine", "bm25"]
 
 
-def _prefix_cut_similarity(pairs, corpus, title, columns, cuts, k1, b) -> ReportTable:
+def _prefix_cut_similarity(scored, title, columns, cuts) -> ReportTable:
     """Mean similarity of added terms against snippet prefixes of the
     predecessor impression; `cuts(impression)` gives one prefix depth
     per column."""
-    stats = build_stats(corpus, SourceKind.ALL_SNIPPETS)
     per_col = {col: [] for col in columns}
-    for pair in pairs:
-        imp = pair.before
-        if not imp.results:
-            continue
-        scores = _snippet_scores(pair, stats, corpus, k1, b)
-        for col, cut in zip(columns, cuts(imp)):
-            per_col[col].append([pairwise_mean(m) for m in zip(*scores[:cut])])
+    for s in scored:
+        for col, cut in zip(columns, cuts(s.pair.before)):
+            per_col[col].append([pairwise_mean(m) for m in zip(*s.snippets[:cut])])
     table = ReportTable(title=title, columns=columns)
     for col in columns:
         means = per_col[col]
@@ -199,14 +233,12 @@ def _prefix_cut_similarity(pairs, corpus, title, columns, cuts, k1, b) -> Report
     return table
 
 
-def rank_prefix_similarity(pairs, corpus, k_max: int = 5,
-                           k1: float = 1.2, b: float = 0.75) -> ReportTable:
+def rank_prefix_similarity(scored, k_max: int = 5) -> ReportTable:
     """Mean similarity of added terms against snippets at ranks 1..k."""
     return _prefix_cut_similarity(
-        pairs, corpus, "Added-term similarity by snippet rank prefix",
+        scored, "Added-term similarity by snippet rank prefix",
         [str(k) for k in range(1, k_max + 1)],
         lambda imp: [min(k, len(imp.results)) for k in range(1, k_max + 1)],
-        k1, b,
     )
 
 
@@ -221,13 +253,13 @@ def _last_click_cuts(imp):
     return [max(lc - 1, 1), lc, min(lc + 1, m), min(lc + 2, m), m]
 
 
-def last_click_similarity(pairs, corpus, k1: float = 1.2, b: float = 0.75) -> ReportTable:
+def last_click_similarity(scored) -> ReportTable:
     """Mean similarity of added terms against snippet prefixes around the
     last clicked rank; clickless impressions contribute all M snippets to
     every column."""
     return _prefix_cut_similarity(
-        pairs, corpus, "Added-term similarity around the last click",
-        LAST_CLICK_COLUMNS, _last_click_cuts, k1, b,
+        scored, "Added-term similarity around the last click",
+        LAST_CLICK_COLUMNS, _last_click_cuts,
     )
 
 
@@ -247,26 +279,17 @@ SOURCE_ROWS = [
 _SIGNIFICANCE_PAIRS = {"cs": ("ncs", "s(M)"), "cd": ("ncd", "ad")}
 
 
-def source_comparison(pairs, corpus, docstore_policy: str = DROP,
-                      k1: float = 1.2, b: float = 0.75,
+def source_comparison(scored, docstore_policy: str = DROP,
                       alpha: float = 0.01) -> ReportTable:
     """Mean added-term similarity per term source with Welch's t-test
     marks on the clicked variants; document rows are omitted (with a
     footnote) when no docstore is attached.
 
-    Each pair scores the predecessor's snippets, and its documents that
-    are present, once; the clicked and non-clicked rows are row subsets
-    of those scores. Impression and historical bags are built once per
-    session, which keeps only its own."""
-    has_docs = bool(corpus.docstore)
-    if has_docs:
-        rows = list(SOURCE_ROWS)
-        kinds = [SourceKind.ALL_SNIPPETS, SourceKind.ALL_DOCUMENTS,
-                 SourceKind.IMPRESSION, SourceKind.HISTORICAL]
-    else:
-        rows = [(label, kind) for label, kind in SOURCE_ROWS if kind in SNIPPET_KINDS]
-        kinds = [SourceKind.ALL_SNIPPETS]
-    stats = {kind: build_stats(corpus, kind) for kind in kinds}
+    The clicked and non-clicked rows are row subsets of each pair's
+    snippet and document scores. Under the drop policy a pair counts in a
+    row only when all of that row's documents have text."""
+    has_docs = any(s.documents is not None for s in scored)
+    rows = [(label, kind) for label, kind in SOURCE_ROWS if has_docs or kind in SNIPPET_KINDS]
     drop_incomplete = docstore_policy != EMPTY
 
     # per row label: list of per-pair mean (terms, jaccard, cosine, bm25)
@@ -276,42 +299,23 @@ def source_comparison(pairs, corpus, docstore_policy: str = DROP,
         if scores:
             samples[label].append(column_means(scores))
 
-    session, session_bags = None, None
-    for pair in pairs:
-        imp = pair.before
-        if not imp.results:
-            continue
+    for s in scored:
+        imp = s.pair.before
         clicked_ranks = imp.clicked_ranks
         clicked = [r.rank in clicked_ranks for r in imp.results]
-        snippets = _snippet_scores(pair, stats[SourceKind.ALL_SNIPPETS], corpus, k1, b,
-                                   last_use=True)
-        add_sample("s(M)", snippets)
-        add_sample("cs", [row for row, c in zip(snippets, clicked) if c])
-        add_sample("ncs", [row for row, c in zip(snippets, clicked) if not c])
-        if not has_docs:
+        add_sample("s(M)", s.snippets)
+        add_sample("cs", [row for row, c in zip(s.snippets, clicked) if c])
+        add_sample("ncs", [row for row, c in zip(s.snippets, clicked) if not c])
+        if s.documents is None:
             continue
-        bags = [corpus.doc_terms(r.docid) for r in imp.results]
-        scored = iter(_similarities(
-            pair, [bag for bag in bags if bag is not None], stats[SourceKind.ALL_DOCUMENTS], k1, b
-        ))
-        # one row per result: its document's scores, or None when missing
-        docs = [None if bag is None else next(scored) for bag in bags]
         for label, want in (("ad", None), ("cd", True), ("ncd", False)):
-            chosen = [row for row, c in zip(docs, clicked) if want is None or c is want]
+            chosen = [row for row, c in zip(s.documents, clicked) if want is None or c is want]
             if drop_incomplete and None in chosen:
                 continue
             add_sample(label, [row for row in chosen if row is not None])
-        if pair.session is not session:
-            session = pair.session
-            session_bags = list(_historical_prefixes(corpus, session))
-        view, historical = session_bags[pair.position - 1]
-        if view.complete or not drop_incomplete:
-            add_sample(
-                "impression", _similarities(pair, view.instances, stats[SourceKind.IMPRESSION], k1, b)
-            )
-        add_sample(
-            "historical", _similarities(pair, [historical], stats[SourceKind.HISTORICAL], k1, b)
-        )
+        if s.impression_complete or not drop_incomplete:
+            add_sample("impression", [s.impression])
+        add_sample("historical", [s.historical])
 
     columns = ["terms", "jaccard", "cosine", "bm25"]
     table = ReportTable(title="Added-term similarity by term source", columns=columns)
@@ -358,32 +362,30 @@ def total_dwell_by_docid(impression):
     return dwell
 
 
-def dwell_threshold_curve(pairs, corpus, thresholds=DEFAULT_DWELL_THRESHOLDS,
+def dwell_threshold_curve(scored, thresholds=DEFAULT_DWELL_THRESHOLDS,
                           docstore_policy: str = DROP):
     """Mean TFIDF-cosine of clicked documents (dwell >= threshold)
-    against added terms; returns [(threshold, mean, surviving_docs)]."""
-    if not corpus.docstore:
+    against added terms; returns [(threshold, mean, surviving_docs)].
+
+    Raises EmptyInputError when no pair has a clicked document to score
+    under the docstore policy; thresholds that drop every document give
+    an empty curve."""
+    if any(s.documents is None for s in scored):
         raise MissingDocstoreError("dwell_threshold_curve requires a docstore")
-    stats = build_stats(corpus, SourceKind.ALL_DOCUMENTS)
     prepared = []
-    for pair in pairs:
-        imp = pair.before
-        if not imp.results or not imp.clicks:
+    for s in scored:
+        imp = s.pair.before
+        row_by_docid = {r.docid: row for r, row in zip(imp.results, s.documents)}
+        rows = [(total, row_by_docid[docid]) for docid, total in total_dwell_by_docid(imp).items()]
+        if docstore_policy == DROP and any(row is None for _, row in rows):
             continue
-        dwell = total_dwell_by_docid(imp)
-        added_bag = _added_bag(pair)
-        docs = []
-        missing = False
-        for docid, total in dwell.items():
-            bag = corpus.doc_terms(docid)
-            if bag is None:
-                missing = True
-                continue
-            docs.append((total, cosine_tfidf(added_bag, bag, stats)))
-        if missing and docstore_policy == DROP:
-            continue
+        docs = [(total, row[2]) for total, row in rows if row is not None]
         if docs:
             prepared.append(docs)
+    if not prepared:
+        raise EmptyInputError(
+            "dwell_threshold_curve requires a clicked document with text "
+            f"under docstore policy {docstore_policy!r}")
     series = []
     for tau in thresholds:
         pair_means = []

@@ -294,6 +294,18 @@ def _zero_pairs(analysis, with_qrels=False):
     return _analyze_xml(analysis, ONE_QUERY_XML, with_qrels)
 
 
+def _no_clicked_document_text(workspace):
+    """Run `analyze sources` on the workspace log ingested with --docs
+    holding only a document that was not clicked."""
+    docs = workspace / "unclicked_docs"
+    docs.mkdir()
+    (docs / "dA").write_text("gun control opinions full document text")
+    assert main(["ingest", "--trec-xml", str(workspace / "sessions.xml"),
+                 "--docs", str(docs), "--out", str(workspace / "corpus.json")]) == 0
+    return ["analyze", "sources", "--corpus", str(workspace / "corpus.json"),
+            "--out-dir", str(workspace / "reports")]
+
+
 def _canonical_json(edit):
     """Run `analyze pairs` on the workspace corpus JSON as `edit(doc)`
     rewrites it."""
@@ -369,6 +381,7 @@ EXIT_2_CASES = {
     "positions-on-zero-pairs": _zero_pairs("positions"),
     "metrics-on-zero-pairs": _zero_pairs("metrics", with_qrels=True),
     "sources-no-ranked-predecessor": _analyze_xml("sources", NO_RANKED_PREDECESSOR_XML),
+    "sources-no-clicked-document-text": _no_clicked_document_text,
     "canonical-json-schema-only": _canonical_json(lambda doc: {"schema": 1}),
     "canonical-json-array": _canonical_json(lambda doc: [1, 2]),
     "canonical-json-impression-without-raw-query": _canonical_json(_without_raw_query),

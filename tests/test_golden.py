@@ -3,8 +3,9 @@
 5`, on a fixed synthetic log must write exactly the recorded bytes.
 
 Each command runs in its own process with PYTHONHASHSEED=0, as a user
-would run it; several report values are float sums taken in set order,
-so only a fixed hash seed makes the bytes repeatable. When a change is
+would run it. Report bytes must not depend on the hash seed: `analyze
+sources`, whose scores sum floats over sets of added terms, runs once
+more under PYTHONHASHSEED=1 against the same digests. When a change is
 meant to alter a report, record the new digests here in the same change.
 """
 
@@ -130,8 +131,8 @@ def write_inputs(directory):
                 f.write(text)
 
 
-def _sessionterms(directory, *command):
-    env = dict(os.environ, PYTHONHASHSEED="0")
+def _sessionterms(directory, *command, hash_seed="0"):
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "sessionterms.cli", *command],
                           cwd=directory, env=env, capture_output=True, text=True,
@@ -175,6 +176,14 @@ def test_docstore_policy_empty_matches_golden_digests(ingested):
     _sessionterms(ingested, "analyze", "sources", "--corpus", "corpus.json",
                   "--docstore-policy", "empty", "--out-dir", "reports_empty")
     assert _digests(_listing(os.path.join(ingested, "reports_empty"))) == GOLDEN_EMPTY
+
+
+def test_sources_reports_do_not_depend_on_the_hash_seed(ingested):
+    _sessionterms(ingested, "analyze", "sources", "--corpus", "corpus.json",
+                  "--out-dir", "reports_hash_seed_1", hash_seed="1")
+    # GOLDEN_EMPTY names exactly the files `analyze sources` writes
+    assert _digests(_listing(os.path.join(ingested, "reports_hash_seed_1"))) == {
+        name: GOLDEN[name] for name in GOLDEN_EMPTY}
 
 
 def test_metrics_cutoff_5_matches_golden_digests(ingested):

@@ -18,6 +18,7 @@ from sessionterms.ireval import (
     ndcg_at_k,
     nerr_at_k,
     scenario_metric_eval,
+    score_impressions,
 )
 from sessionterms.scenarios import ADDED, REMOVED, assign_scenarios
 
@@ -163,7 +164,7 @@ class TestImpressionMetrics:
         assert 0.0 < nerr < 1.0
 
     def test_metrics_by_position(self, eval_corpus):
-        series = metrics_by_position(eval_corpus)
+        series = metrics_by_position(score_impressions(eval_corpus))
         assert [s[0] for s in series] == [1, 2]
         pos2 = series[1]
         ideal_dcg = 3 + 3 / math.log2(3) + 1 / 2
@@ -172,8 +173,8 @@ class TestImpressionMetrics:
         assert pos2[4] == 1
 
     def test_metrics_by_position_requires_qrels(self, session40_corpus):
-        with pytest.raises(ValueError):
-            metrics_by_position(session40_corpus)
+        with pytest.raises(ValueError, match="requires relevance judgments"):
+            metrics_by_position(score_impressions(session40_corpus))
 
     def test_topicless_sessions_excluded(self, eval_corpus, plain_config):
         extra = make_corpus(
@@ -183,11 +184,12 @@ class TestImpressionMetrics:
         from sessionterms.corpus import merge
 
         combined = replace(merge([eval_corpus, extra]), qrels=eval_corpus.qrels)
-        assert metrics_by_position(combined)[0][4] == 1
+        assert metrics_by_position(score_impressions(combined))[0][4] == 1
 
 
 def _metric_eval(corpus):
-    return scenario_metric_eval(assign_scenarios(extract_pairs(corpus), corpus), corpus)
+    records = assign_scenarios(extract_pairs(corpus), corpus)
+    return scenario_metric_eval(records, score_impressions(corpus))
 
 
 class TestPairDeltas:
@@ -210,7 +212,8 @@ class TestPairDeltas:
         combined = replace(eval_corpus, sessions=(*eval_corpus.sessions, topicless))
         records = assign_scenarios(extract_pairs(combined), combined)
         assert {r.session_id for r in records} == {"e", "no-topic"}
-        assert scenario_metric_eval(records, combined).cells == _metric_eval(eval_corpus).cells
+        table = scenario_metric_eval(records, score_impressions(combined))
+        assert table.cells == _metric_eval(eval_corpus).cells
 
 
 def improvement_corpus(plain_config, n_sessions=12):
@@ -256,10 +259,10 @@ class _CountingGrades(dict):
 
 
 def test_metrics_pass_walks_judgments_a_bounded_number_of_times(plain_config, monkeypatch):
-    """The tables of `analyze metrics` look judgments up per topic, and
-    each table scores each impression once; they do not scan every
-    judgment for each impression, nor score an impression again for
-    each pair it is in."""
+    """`score_impressions` looks judgments up per topic and scores each
+    impression once for all three tables of `analyze metrics`; it does
+    not scan every judgment for each impression, and the tables score
+    nothing again."""
     scored = []
     score = ireval.impression_metrics
 
@@ -278,11 +281,12 @@ def test_metrics_pass_walks_judgments_a_bounded_number_of_times(plain_config, mo
         corpus.qrels.grades = grades
         records = assign_scenarios(extract_pairs(corpus), corpus)
         scored.clear()
-        scenario_metric_eval(records, corpus)
-        metrics_by_position(corpus)
-        metrics_csv(corpus)
+        metrics = score_impressions(corpus)
+        scenario_metric_eval(records, metrics)
+        metrics_by_position(metrics)
+        metrics_csv(metrics)
         walks[n_sessions] = grades.walks
-        assert len(scored) == 3 * 3 * n_sessions  # 3 tables x 3 impressions
+        assert len(scored) == 3 * n_sessions  # 3 impressions per session, once each
     assert walks[3] == walks[24] <= 1, walks
 
 
@@ -291,7 +295,7 @@ class TestScenarioMetricEval:
         corpus = improvement_corpus(plain_config)
         records = assign_scenarios(extract_pairs(corpus), corpus)
         # "c" is added and sits in a non-clicked snippet -> scenario 5
-        table = scenario_metric_eval(records, corpus)
+        table = scenario_metric_eval(records, score_impressions(corpus))
         cell = table.get(f"{ADDED}/NDCG", "5")
         assert cell.value > 0
         assert cell.significant
@@ -300,23 +304,23 @@ class TestScenarioMetricEval:
     def test_insufficient_nonzero_deltas_have_no_p(self, plain_config):
         corpus = improvement_corpus(plain_config, n_sessions=1)
         records = assign_scenarios(extract_pairs(corpus), corpus)
-        cell = scenario_metric_eval(records, corpus).get(f"{ADDED}/NDCG", "5")
+        cell = scenario_metric_eval(records, score_impressions(corpus)).get(f"{ADDED}/NDCG", "5")
         assert cell.p_value is None and not cell.significant
 
     def test_excluded_scenarios_absent(self, plain_config):
         corpus = improvement_corpus(plain_config)
         records = assign_scenarios(extract_pairs(corpus), corpus)
-        table = scenario_metric_eval(records, corpus)
+        table = scenario_metric_eval(records, score_impressions(corpus))
         assert "3" not in table.columns and "7" not in table.columns
 
     def test_requires_qrels(self, session40_corpus):
-        with pytest.raises(ValueError):
-            scenario_metric_eval([], session40_corpus)
+        with pytest.raises(ValueError, match="requires relevance judgments"):
+            scenario_metric_eval([], score_impressions(session40_corpus))
 
 
 class TestMetricsCsv:
     def test_row_per_impression_metric(self, eval_corpus):
-        lines = metrics_csv(eval_corpus).strip().split("\n")
+        lines = metrics_csv(score_impressions(eval_corpus)).strip().split("\n")
         assert lines[0] == "session,position,metric,value"
         assert len(lines) == 1 + 2 * len(METRICS)
         assert any(line.startswith("e,2,MAP,") for line in lines)

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
 
@@ -27,6 +30,7 @@ from sessionterms.sources import (
     last_click_rank,
     last_click_similarity,
     rank_prefix_similarity,
+    score_pairs,
     source_comparison,
     total_dwell_by_docid,
 )
@@ -207,7 +211,7 @@ class TestSharedSourceWork:
                     scores = np.asarray(
                         _similarities(pair, instances, build_stats(corpus, base), 1.2, 0.75))
                     samples[label].append(scores.mean(axis=0))
-        table = source_comparison(pairs, corpus, policy)
+        table = source_comparison(score_pairs(pairs, corpus), policy)
         assert set(table.rows) == {label for label, rows in samples.items() if rows}
         for label in table.rows:
             rows = samples[label]
@@ -217,8 +221,8 @@ class TestSharedSourceWork:
                 assert table.get(label, col).population == len(rows)
 
     def test_analyze_sources_scores_each_pairs_snippets_once(self, tmp_path, monkeypatch):
-        """The rank-prefix, last-click and source tables share one scoring
-        of each pair's predecessor snippets."""
+        """`score_pairs` scores each source kind of each pair once, and
+        the four tables of `analyze sources` share those scores."""
         corpus = synth_corpus()
         path = tmp_path / "corpus.json"
         path.write_bytes(to_canonical_json(corpus))
@@ -226,8 +230,7 @@ class TestSharedSourceWork:
         similarities = sources._similarities
 
         def counting(pair, bags, stats, k1, b):
-            if stats.kind is SourceKind.ALL_SNIPPETS:
-                scored[(pair.session_id, pair.position)] += 1
+            scored[(pair.session_id, pair.position, stats.kind)] += 1
             return similarities(pair, bags, stats, k1, b)
 
         monkeypatch.setattr(sources, "_similarities", counting)
@@ -235,18 +238,11 @@ class TestSharedSourceWork:
                      "--out-dir", str(tmp_path / "reports")]) == 0
         pairs = extract_pairs(corpus, include_test_queries=False)
         assert len(pairs) > 10
-        assert set(scored) == {(p.session_id, p.position) for p in pairs
-                               if p.before.results}
+        kinds = [SourceKind.ALL_SNIPPETS, SourceKind.ALL_DOCUMENTS,
+                 SourceKind.IMPRESSION, SourceKind.HISTORICAL]
+        assert set(scored) == {(p.session_id, p.position, kind) for p in pairs
+                               if p.before.results for kind in kinds}
         assert set(scored.values()) == {1}
-
-    def test_source_comparison_empties_the_snippet_score_memo(self):
-        corpus = synth_corpus()
-        pairs = extract_pairs(corpus)
-        rank_prefix_similarity(pairs, corpus)
-        last_click_similarity(pairs, corpus)
-        assert corpus.__dict__["_snippet_score_cache"]
-        source_comparison(pairs, corpus)
-        assert corpus.__dict__["_snippet_score_cache"] == {}
 
     @pytest.mark.parametrize("session_length", [6, 12])
     def test_source_comparison_builds_linear_impression_bags(self, session_length, monkeypatch):
@@ -260,7 +256,7 @@ class TestSharedSourceWork:
             return extract(imp, kind, corpus)
 
         monkeypatch.setattr(sources, "extract_source", counting)
-        source_comparison(extract_pairs(corpus), corpus)
+        score_pairs(extract_pairs(corpus), corpus)
         # One bag per impression for each of: the impression stats, the
         # historical stats, and the session's impression and historical
         # bags. Rebuilding each prefix from scratch is quadratic.
@@ -279,16 +275,16 @@ class TestLastClick:
                              results_per_query=4, click_prob=0.5)
         corpus = generate(spec)
         pairs = extract_pairs(corpus)
-        lc = last_click_similarity(pairs, corpus)
-        rp = rank_prefix_similarity(pairs, corpus, k_max=4)
+        scored = score_pairs(pairs, corpus)
+        lc = last_click_similarity(scored)
+        rp = rank_prefix_similarity(scored, k_max=4)
         for row in ["snippet_terms", "jaccard", "cosine", "bm25"]:
             assert lc.value(row, "M") == pytest.approx(rp.value(row, "4"))
 
     def test_clickless_impressions_fill_every_column_identically(self):
         spec = GeneratorSpec(seed=9, sessions=10, session_length=3, click_prob=0.0)
         corpus = generate(spec)
-        pairs = extract_pairs(corpus)
-        table = last_click_similarity(pairs, corpus)
+        table = last_click_similarity(score_pairs(extract_pairs(corpus), corpus))
         for row in ["jaccard", "cosine"]:
             values = {table.value(row, col) for col in ["LC-1", "LC", "LC+1", "LC+2", "M"]}
             assert len(values) == 1
@@ -300,23 +296,22 @@ class TestLastClick:
         )
         imp2 = make_impression(2, "a add1", plain_config, snippets=["x3"])
         corpus = make_corpus([("c", None, [imp1, imp2])], plain_config)
-        pairs = extract_pairs(corpus)
-        table = last_click_similarity(pairs, corpus)
+        table = last_click_similarity(score_pairs(extract_pairs(corpus), corpus))
         assert table.value("jaccard", "LC-1") == table.value("jaccard", "LC")
         assert table.value("snippet_terms", "LC+2") == table.value("snippet_terms", "M")
 
 
 class TestRankPrefix:
     def test_prefix_one_scores_first_snippet_only(self, planted_corpus):
-        pairs = extract_pairs(planted_corpus)
-        table = rank_prefix_similarity(pairs, planted_corpus, k_max=3)
+        scored = score_pairs(extract_pairs(planted_corpus), planted_corpus)
+        table = rank_prefix_similarity(scored, k_max=3)
         # rank-1 snippet is "z1 z2 add1", added = {add1}
         assert table.value("jaccard", "1") == pytest.approx(1 / 3)
         assert table.value("snippet_terms", "1") == 3.0
 
     def test_prefix_means_average_over_ranks(self, planted_corpus):
-        pairs = extract_pairs(planted_corpus)
-        table = rank_prefix_similarity(pairs, planted_corpus, k_max=3)
+        scored = score_pairs(extract_pairs(planted_corpus), planted_corpus)
+        table = rank_prefix_similarity(scored, k_max=3)
         # ranks 2 and 3 share no terms with the addition
         assert table.value("jaccard", "3") == pytest.approx((1 / 3) / 3)
         assert table.value("snippet_terms", "3") == pytest.approx((3 + 2 + 2) / 3)
@@ -328,8 +323,7 @@ class TestRankPrefix:
                              p_cs=0.9, force_click=True, click_prob=0.2,
                              results_per_query=5)
         corpus = generate(spec)
-        pairs = extract_pairs(corpus)
-        table = rank_prefix_similarity(pairs, corpus, k_max=5)
+        table = rank_prefix_similarity(score_pairs(extract_pairs(corpus), corpus), k_max=5)
         assert table.value("jaccard", "1") > table.value("jaccard", "5")
 
 
@@ -339,8 +333,7 @@ class TestSourceComparison:
                              p_cs=0.8, p_cd=0.8, p_ncs=0.1,
                              force_click=True, click_prob=0.3)
         corpus = generate(spec)
-        pairs = extract_pairs(corpus)
-        table = source_comparison(pairs, corpus)
+        table = source_comparison(score_pairs(extract_pairs(corpus), corpus))
         assert table.value("cs", "jaccard") > table.value("ncs", "jaccard")
         assert table.value("cd", "jaccard") > table.value("ncd", "jaccard")
         assert table.value("cs", "cosine") > table.value("ncs", "cosine")
@@ -350,8 +343,7 @@ class TestSourceComparison:
                              p_cs=0.8, p_cd=0.8, p_ncs=0.1,
                              force_click=True, click_prob=0.3)
         corpus = generate(spec)
-        pairs = extract_pairs(corpus)
-        table = source_comparison(pairs, corpus)
+        table = source_comparison(score_pairs(extract_pairs(corpus), corpus))
         assert table.get("cs", "jaccard").significant
         assert table.get("cd", "jaccard").significant
         assert table.get("cs", "jaccard").p_value < 0.01
@@ -364,8 +356,7 @@ class TestSourceComparison:
             [(s.id, s.topic_id, list(s.impressions)) for s in corpus.sessions],
             corpus.config,
         )
-        pairs = extract_pairs(snippets_only)
-        table = source_comparison(pairs, snippets_only)
+        table = source_comparison(score_pairs(extract_pairs(snippets_only), snippets_only))
         assert set(table.rows) == {"s(M)", "cs", "ncs"}
         assert any("no docstore" in note for note in table.footnotes)
 
@@ -373,7 +364,7 @@ class TestSourceComparison:
         spec = GeneratorSpec(seed=2, sessions=20, session_length=3,
                              p_cs=0.5, p_cd=0.5, force_click=True)
         corpus = generate(spec)
-        table = source_comparison(extract_pairs(corpus), corpus)
+        table = source_comparison(score_pairs(extract_pairs(corpus), corpus))
         assert set(table.rows) == {
             "s(M)", "cs", "ncs", "ad", "cd", "ncd", "impression", "historical"
         }
@@ -388,8 +379,8 @@ class TestDwell:
         assert total_dwell_by_docid(imp) == {"doc-1-1": 25.0, "doc-1-2": 5.0}
 
     def test_threshold_zero_keeps_all_clicked_docs(self, planted_corpus):
-        pairs = extract_pairs(planted_corpus)
-        curve = dwell_threshold_curve(pairs, planted_corpus, thresholds=(0,))
+        scored = score_pairs(extract_pairs(planted_corpus), planted_corpus)
+        curve = dwell_threshold_curve(scored, thresholds=(0,))
         assert curve == [(0, pytest.approx(curve[0][1]), 1)]
         assert curve[0][1] > 0.0  # clicked doc contains the added term
 
@@ -397,19 +388,70 @@ class TestDwell:
         spec = GeneratorSpec(seed=31, sessions=40, session_length=3,
                              click_prob=0.6, p_cd=0.5, force_click=True)
         corpus = generate(spec)
-        pairs = extract_pairs(corpus)
-        curve = dwell_threshold_curve(pairs, corpus)
+        curve = dwell_threshold_curve(score_pairs(extract_pairs(corpus), corpus))
         survivors = [s for _, _, s in curve]
         assert survivors == sorted(survivors, reverse=True)
         assert survivors[0] > 0
 
     def test_threshold_beyond_max_dwell_drops_everything(self, planted_corpus):
-        pairs = extract_pairs(planted_corpus)
-        assert dwell_threshold_curve(pairs, planted_corpus, thresholds=(1000,)) == []
+        scored = score_pairs(extract_pairs(planted_corpus), planted_corpus)
+        assert dwell_threshold_curve(scored, thresholds=(1000,)) == []
+
+    def test_reads_the_document_scores_without_scoring_again(self, planted_corpus,
+                                                             monkeypatch):
+        scored = score_pairs(extract_pairs(planted_corpus), planted_corpus)
+        expected = dwell_threshold_curve(scored, thresholds=(0,))
+
+        def fail(*args, **kwargs):
+            raise AssertionError("dwell_threshold_curve scored a source")
+
+        for name in ("_similarities", "jaccard", "cosine_tfidf", "bm25"):
+            monkeypatch.setattr(sources, name, fail)
+        assert dwell_threshold_curve(scored, thresholds=(0,)) == expected
+        assert expected[0][1] == scored[0].documents[0][2]  # the clicked document's cosine
 
     def test_requires_docstore(self, plain_config):
         imp = make_impression(1, "q", plain_config, snippets=["s"], clicks=[(1, 0, 5)])
         imp2 = make_impression(2, "q r", plain_config, snippets=["s"])
         corpus = make_corpus([("x", None, [imp, imp2])], plain_config)
         with pytest.raises(MissingDocstoreError):
-            dwell_threshold_curve(extract_pairs(corpus), corpus)
+            dwell_threshold_curve(score_pairs(extract_pairs(corpus), corpus))
+
+
+# Eight added terms, some repeated in the later query, against snippets
+# that hold several of them with different counts: summed in set order,
+# the cosine and BM25 floats differ between hash seeds.
+HASH_SEED_SCRIPT = """
+from conftest import make_corpus, make_impression
+from sessionterms.actions import extract_pairs
+from sessionterms.similarity import SourceKind, build_stats
+from sessionterms.sources import _similarities
+from sessionterms.textnorm import NormalizationConfig
+
+config = NormalizationConfig(stoplist=frozenset(), stemming_enabled=False)
+snippets = [
+    "eta alpha epsilon x theta eta epsilon theta zeta",
+    "delta x gamma epsilon gamma beta y epsilon x y gamma epsilon",
+    "beta z zeta theta",
+    "beta zeta eta zeta y z delta x theta theta x",
+]
+later = "alpha beta gamma delta epsilon zeta eta theta epsilon alpha alpha beta eta"
+first = make_impression(1, "q", config, snippets=snippets)
+second = make_impression(2, "q " + later, config, snippets=["s"])
+corpus = make_corpus([("h", None, [first, second])], config)
+[pair] = extract_pairs(corpus)
+stats = build_stats(corpus, SourceKind.ALL_SNIPPETS)
+print(repr(_similarities(pair, [r.terms for r in first.results], stats, 1.2, 0.75)))
+"""
+
+
+def test_scores_do_not_depend_on_the_hash_seed():
+    tests = os.path.dirname(os.path.abspath(__file__))
+    path = os.pathsep.join([os.path.join(os.path.dirname(tests), "src"), tests])
+    outputs = set()
+    for seed in range(6):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=path)
+        proc = subprocess.run([sys.executable, "-c", HASH_SEED_SCRIPT], env=env,
+                              capture_output=True, text=True, check=True, timeout=120)
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1, outputs
