@@ -4,7 +4,10 @@ figure data series are emitted as CSV for external plotting.
 
 Exit codes: 0 success (including degraded runs with notices), 1
 analysis failure, 2 usage or input error: a bad flag (flag values are
-checked before any report is written, also those read from --config), a
+checked before any report is written, also those read from --config:
+--k1 must be a finite number of at least 0, --b a finite number from 0
+to 1, every --dwell-thresholds value a finite number, and each count a
+whole number of at least 1), a
 --config key that names no `analyze` option a config file can set (every
 option but --corpus and --config), a missing input file, malformed
 input (also a canonical corpus JSON with a missing key or a value of
@@ -20,6 +23,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -70,13 +74,40 @@ def _positive_int(text) -> int:
     return value
 
 
-def _thresholds(text) -> list:
-    """argparse type of --dwell-thresholds: comma-separated numbers."""
+def _finite(text) -> float:
+    """argparse type of a finite number (not nan or inf)."""
     try:
-        return [float(t) for t in text.split(",")]
+        value = float(text)
     except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
+def _non_negative(text) -> float:
+    """argparse type of --k1: a finite number of at least 0."""
+    value = _finite(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {text!r}")
+    return value
+
+
+def _unit_interval(text) -> float:
+    """argparse type of --b: a finite number from 0 to 1."""
+    value = _finite(text)
+    if not 0 <= value <= 1:
+        raise argparse.ArgumentTypeError(f"must be from 0 to 1, got {text!r}")
+    return value
+
+
+def _thresholds(text) -> list:
+    """argparse type of --dwell-thresholds: comma-separated finite numbers."""
+    try:
+        return [_finite(t) for t in text.split(",")]
+    except argparse.ArgumentTypeError:
         raise argparse.ArgumentTypeError(
-            f"expected comma-separated numbers, got {text!r}"
+            f"expected comma-separated finite numbers, got {text!r}"
         ) from None
 
 
@@ -308,8 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
         analyze.add_argument("--out-dir", default="reports"),
         analyze.add_argument("--format", choices=["csv", "md", "both"], default="both"),
         analyze.add_argument("--include-test-queries", action="store_true"),
-        analyze.add_argument("--k1", type=float, default=1.2),
-        analyze.add_argument("--b", type=float, default=0.75),
+        analyze.add_argument("--k1", type=_non_negative, default=1.2),
+        analyze.add_argument("--b", type=_unit_interval, default=0.75),
         analyze.add_argument("--k-max", type=_positive_int, default=5),
         analyze.add_argument("--max-position", type=_positive_int, default=9),
         analyze.add_argument("--cutoff", type=_positive_int, default=10),

@@ -23,7 +23,7 @@ from .similarity import (
     cosine_tfidf,
     jaccard,
 )
-from .stattests import column_means, pairwise_mean, welch_t
+from .stattests import column_means, pairwise_mean, welch_may_be_significant, welch_t
 from .textnorm import TermBag
 
 DROP = "drop"
@@ -331,25 +331,23 @@ def source_comparison(scored, docstore_policy: str = DROP,
         by_column[label] = list(zip(*samples[label]))
         for col, values in zip(columns, by_column[label]):
             table.set(label, col, pairwise_mean(values), population=len(values))
+    # A cell is significant when every comparison has a p-value and the
+    # largest is below alpha. The normal-tail bound rules most cells out
+    # before any p-value, and with it scipy, is needed.
     for label, others in _SIGNIFICANCE_PAIRS.items():
-        if label not in by_column:
+        if label not in by_column or not all(other in by_column for other in others):
             continue
         for i, col in enumerate(columns):
             if col == "terms":
                 continue
-            p_values = []
-            for other in others:
-                if other not in by_column:
-                    break
-                result = welch_t(by_column[label][i], by_column[other][i])
-                if result.p_value is None:
-                    break
-                p_values.append(result.p_value)
-            else:
-                if p_values and max(p_values) < alpha:
-                    cell = table.get(label, col)
-                    table.set(label, col, cell.value, significant=True,
-                              p_value=max(p_values), population=cell.population)
+            comparisons = [(by_column[label][i], by_column[other][i]) for other in others]
+            if not all(welch_may_be_significant(a, b, alpha) for a, b in comparisons):
+                continue
+            p_values = [welch_t(a, b).p_value for a, b in comparisons]
+            if None not in p_values and max(p_values) < alpha:
+                cell = table.get(label, col)
+                table.set(label, col, cell.value, significant=True,
+                          p_value=max(p_values), population=cell.population)
     return table
 
 

@@ -9,8 +9,11 @@ Both tests are two-sided. The Wilcoxon test enumerates all sign assignments
 exactly for small samples and falls back to a tie- and continuity-
 corrected normal approximation for larger ones.
 
-scipy is loaded only when a Welch p-value is computed, which among the
-CLI commands only `analyze sources` does.
+scipy is loaded only when a Welch p-value is computed. Among the CLI
+commands only `analyze sources` computes one, and only for a
+clicked-variant cell that `welch_may_be_significant` cannot rule out:
+the two-sided normal tail is a lower bound of the Student-t tail, so a
+normal tail well above alpha settles "not significant" without scipy.
 """
 
 from __future__ import annotations
@@ -77,31 +80,61 @@ def _t_sf_two_sided(t, df):
     return float(betainc(df / 2.0, 0.5, x))
 
 
-def welch_t(sample_a, sample_b) -> TestResult:
-    """Welch's unequal-variance t-test.
-
-    Returns a not-applicable result when either sample has fewer than
-    two observations or both variances are zero.
-    """
+def _welch(sample_a, sample_b):
+    """Welch's (t, df, n_effective). t is None when the test does not
+    apply: either sample has fewer than two observations, or both
+    variances are zero and the means differ. Equal constant samples give
+    t = df = 0, whose p-value is 1."""
     a = [float(x) for x in sample_a]
     b = [float(x) for x in sample_b]
     n1, n2 = len(a), len(b)
     if n1 < 2 or n2 < 2:
-        return TestResult(None, None, 0, "welch")
+        return None, None, 0
     mean1 = sum(a) / n1
     mean2 = sum(b) / n2
     var1 = sum((x - mean1) ** 2 for x in a) / (n1 - 1)
     var2 = sum((x - mean2) ** 2 for x in b) / (n2 - 1)
     if var1 == 0.0 and var2 == 0.0:
         if mean1 == mean2:
-            return TestResult(0.0, 1.0, n1 + n2, "welch")
-        return TestResult(None, None, n1 + n2, "welch")
+            return 0.0, 0.0, n1 + n2
+        return None, None, n1 + n2
     se2 = var1 / n1 + var2 / n2
     t = (mean1 - mean2) / math.sqrt(se2)
     df = se2 * se2 / (
         (var1 / n1) ** 2 / (n1 - 1) + (var2 / n2) ** 2 / (n2 - 1)
     )
-    return TestResult(t, _t_sf_two_sided(t, df), n1 + n2, "welch")
+    return t, df, n1 + n2
+
+
+def welch_t(sample_a, sample_b) -> TestResult:
+    """Welch's unequal-variance t-test.
+
+    Returns a not-applicable result when either sample has fewer than
+    two observations or both variances are zero.
+    """
+    t, df, n = _welch(sample_a, sample_b)
+    if t is None:
+        return TestResult(None, None, n, "welch")
+    return TestResult(t, _t_sf_two_sided(t, df), n, "welch")
+
+
+# Relative slack on the normal-tail bound. The float error of `erfc` and
+# of `betainc` near a usable alpha is many orders smaller (df never
+# exceeds n1 + n2 - 2), so a decision with this slack is the one the
+# exact p-value would give.
+_BOUND_MARGIN = 1e-6
+
+
+def welch_may_be_significant(sample_a, sample_b, alpha) -> bool:
+    """False when Welch's test between the samples does not apply or its
+    p-value is surely at least alpha; True when only `welch_t` can tell.
+
+    Decided without scipy: for every df > 0 the two-sided Student-t tail
+    is at least the two-sided normal tail erfc(|t| / sqrt 2). (T = Z/sqrt W
+    with E[W] = 1, and the normal tail at t sqrt w is convex in w, so
+    Jensen's inequality applies.)"""
+    t, _, _ = _welch(sample_a, sample_b)
+    return t is not None and math.erfc(abs(t) / math.sqrt(2.0)) < alpha * (1.0 + _BOUND_MARGIN)
 
 
 def _signed_ranks(deltas):

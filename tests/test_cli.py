@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -8,8 +9,12 @@ import textwrap
 import pytest
 from scipy.special import betainc
 
+from sessionterms import synthgen
+from sessionterms.actions import extract_pairs
 from sessionterms.cli import main
-from sessionterms.corpus import from_canonical_json
+from sessionterms.corpus import from_canonical_json, to_canonical_json
+from sessionterms.sources import score_pairs
+from sessionterms.stattests import column_means
 
 SESSION_XML = """<sessions>
   <session num="1">
@@ -354,6 +359,18 @@ EXIT_2_CASES = {
     "dwell-thresholds-not-number": _analyze_flags("sources", "--dwell-thresholds", "5,x"),
     "dwell-thresholds-empty": _analyze_flags("sources", "--dwell-thresholds", ""),
     "config-dwell-thresholds-not-number": _config_value("sources", "dwell_thresholds", "5,x"),
+    "dwell-thresholds-nan": _analyze_flags("sources", "--dwell-thresholds", "5,nan,10"),
+    "config-dwell-thresholds-nan": _config_value("sources", "dwell-thresholds", "5,nan,10"),
+    "k1-negative": _analyze_flags("sources", "--k1", "-1", "--b", "0"),
+    "k1-nan": _analyze_flags("sources", "--k1", "nan"),
+    "k1-inf": _analyze_flags("sources", "--k1", "inf"),
+    "b-nan": _analyze_flags("sources", "--b", "nan"),
+    "b-above-one": _analyze_flags("sources", "--b", "1.5"),
+    "config-k1-negative": _config_value("sources", "k1", -1),
+    "config-k1-nan": _config_value("sources", "k1", float("nan")),
+    "config-k1-inf": _config_value("sources", "k1", float("inf")),
+    "config-b-nan": _config_value("sources", "b", float("nan")),
+    "config-b-negative": _config_value("sources", "b", -0.5),
     "cutoff-negative": _analyze_flags("metrics", "--cutoff", "-1"),
     "cutoff-zero": _analyze_flags("metrics", "--cutoff", "0"),
     "cutoff-not-integer": _analyze_flags("metrics", "--cutoff", "2.5"),
@@ -430,8 +447,9 @@ NUMPY_LOADED = "any(m.split('.')[0] == 'numpy' for m in sys.modules)"
 
 
 class TestStartUpImports:
-    """Only a Welch p-value needs scipy; loading it costs every other
-    command about 0.3 s of start-up."""
+    """Only a Welch p-value needs scipy, and `analyze sources` computes
+    one only for a clicked-variant cell that the normal-tail bound leaves
+    open; loading scipy costs about 0.3 s of start-up."""
 
     def test_commands_without_welch_never_load_scipy(self, workspace):
         corpus = str(workspace / "corpus.json")
@@ -489,14 +507,74 @@ class TestStartUpImports:
         """)
         no_p, before, after, t, p_value = json.loads(_run_python(script))
         assert (no_p, before, after) == (None, False, True)
-        m1, m2 = sum(a) / 3, sum(b) / 4
-        v1 = sum((x - m1) ** 2 for x in a) / 2
-        v2 = sum((x - m2) ** 2 for x in b) / 3
-        se2 = v1 / 3 + v2 / 4
-        df = se2 * se2 / ((v1 / 3) ** 2 / 2 + (v2 / 4) ** 2 / 3)
-        assert t == (m1 - m2) / math.sqrt(se2)
         assert 0.0 < p_value < 1.0
-        assert p_value == float(betainc(df / 2.0, 0.5, df / (df + t * t)))
+        assert (t, p_value) == _welch_betainc(a, b)
+
+    def _analyze_sources(self, tmp_path, spec):
+        """Run `analyze sources` on a synthetic corpus in a fresh
+        interpreter; return (corpus, exit code, scipy loaded, numpy
+        loaded, source_comparison.csv rows)."""
+        corpus = synthgen.generate(spec)
+        path = tmp_path / "corpus.json"
+        path.write_bytes(to_canonical_json(corpus))
+        script = textwrap.dedent(f"""
+            import json, sys
+            from sessionterms.cli import main
+            code = main(sys.argv[1:])
+            print(json.dumps([code, {SCIPY_LOADED}, {NUMPY_LOADED}]))
+        """)
+        out = tmp_path / "reports"
+        code, scipy_loaded, numpy_loaded = json.loads(_run_python(
+            script, "analyze", "sources", "--corpus", str(path), "--out-dir", str(out)))
+        with open(out / "source_comparison.csv", encoding="utf-8") as f:
+            rows = list(csv.DictReader(line for line in f if not line.startswith("#")))
+        return corpus, code, scipy_loaded, numpy_loaded, rows
+
+    def test_sources_without_a_possibly_significant_cell_loads_neither(self, tmp_path):
+        """Clicked snippets barely closer to the added terms than the
+        others: the normal-tail bound rules out every cell (|t| < 0.3),
+        so no p-value is computed."""
+        spec = synthgen.GeneratorSpec(seed=1, sessions=30, session_length=4, p_cs=0.1,
+                                      p_ncs=0.3, force_click=True)
+        _, code, scipy_loaded, numpy_loaded, rows = self._analyze_sources(tmp_path, spec)
+        assert (code, scipy_loaded, numpy_loaded) == (0, False, False)
+        assert len(rows) == 32
+        assert {row["significant"] for row in rows} == {"0"}
+
+    def test_sources_with_a_significant_cell_writes_betaincs_p_value(self, tmp_path):
+        spec = synthgen.GeneratorSpec(seed=32, sessions=12, session_length=3, p_cs=0.3,
+                                      p_ncs=0.2, force_click=True)
+        corpus, code, scipy_loaded, _, rows = self._analyze_sources(tmp_path, spec)
+        assert (code, scipy_loaded) == (0, True)
+        [row] = [row for row in rows if row["significant"] == "1"]
+        assert (row["row"], row["column"]) == ("cs", "cosine")
+        # per-pair means of the cosine column over clicked, non-clicked
+        # and all snippets of the earlier query
+        samples = {"cs": [], "ncs": [], "s(M)": []}
+        for scored in score_pairs(extract_pairs(corpus), corpus):
+            imp = scored.pair.before
+            clicked = [r.rank in imp.clicked_ranks for r in imp.results]
+            chosen = {"cs": [s for s, c in zip(scored.snippets, clicked) if c],
+                      "ncs": [s for s, c in zip(scored.snippets, clicked) if not c],
+                      "s(M)": scored.snippets}
+            for label, rows_of_label in chosen.items():
+                if rows_of_label:
+                    samples[label].append(column_means(rows_of_label)[2])
+        p_values = [_welch_betainc(samples["cs"], samples[other])[1] for other in ("ncs", "s(M)")]
+        assert float(row["p_value"]) == max(p_values) < 0.01
+
+
+def _welch_betainc(a, b):
+    """Welch's t of two samples and its two-sided p-value from scipy's
+    betainc, by the textbook formulas."""
+    n1, n2 = len(a), len(b)
+    m1, m2 = sum(a) / n1, sum(b) / n2
+    v1 = sum((x - m1) ** 2 for x in a) / (n1 - 1)
+    v2 = sum((x - m2) ** 2 for x in b) / (n2 - 1)
+    se2 = v1 / n1 + v2 / n2
+    t = (m1 - m2) / math.sqrt(se2)
+    df = se2 * se2 / ((v1 / n1) ** 2 / (n1 - 1) + (v2 / n2) ** 2 / (n2 - 1))
+    return t, float(betainc(df / 2.0, 0.5, df / (df + t * t)))
 
 
 class TestSynth:

@@ -34,6 +34,7 @@ from sessionterms.sources import (
     source_comparison,
     total_dwell_by_docid,
 )
+from sessionterms.stattests import welch_t
 from sessionterms.synthgen import GeneratorSpec, generate
 from sessionterms.textnorm import TermBag
 
@@ -347,6 +348,37 @@ class TestSourceComparison:
         assert table.get("cs", "jaccard").significant
         assert table.get("cd", "jaccard").significant
         assert table.get("cs", "jaccard").p_value < 0.01
+
+    @pytest.mark.parametrize("spec,exact_cells,significant", [
+        (GeneratorSpec(seed=13, sessions=80, session_length=4, p_keep=0.4, p_cs=0.8,
+                       p_cd=0.8, p_ncs=0.1, force_click=True, click_prob=0.3), 6, 6),
+        (GeneratorSpec(seed=32, sessions=12, session_length=3, p_cs=0.3, p_ncs=0.2,
+                       force_click=True), 3, 1),
+        (GeneratorSpec(seed=12, sessions=12, session_length=3, p_cs=0.3, p_ncs=0.2,
+                       force_click=True), 3, 0),
+        (GeneratorSpec(seed=1, sessions=30, session_length=4, p_cs=0.1, p_ncs=0.3,
+                       force_click=True), 0, 0),
+    ])
+    def test_normal_tail_bound_changes_no_byte(self, spec, exact_cells, significant,
+                                               monkeypatch):
+        """The bound only skips p-values that could not be significant:
+        the table equals the one with every p-value computed.
+        `exact_cells` cells are left to welch_t, `significant` of them
+        are marked."""
+        corpus = generate(spec)
+        scored = score_pairs(extract_pairs(corpus), corpus)
+        compared = []
+
+        def counting_welch_t(a, b):
+            compared.append(a)
+            return welch_t(a, b)
+
+        monkeypatch.setattr(sources, "welch_t", counting_welch_t)
+        table = source_comparison(scored)
+        assert len(compared) == 2 * exact_cells
+        assert sum(cell.significant for cell in table.cells.values()) == significant
+        monkeypatch.setattr(sources, "welch_may_be_significant", lambda a, b, alpha: True)
+        assert source_comparison(scored).to_csv() == table.to_csv()
 
     def test_without_docstore_degrades_to_snippet_rows(self, plain_config):
         spec = GeneratorSpec(seed=13, sessions=20, session_length=3,

@@ -1,10 +1,18 @@
 import itertools
 import math
 import random
+import sys
 
 import pytest
+from scipy.special import betainc, betaincc
 
-from sessionterms.stattests import column_means, pairwise_mean, welch_t, wilcoxon_signed_rank
+from sessionterms.stattests import (
+    column_means,
+    pairwise_mean,
+    welch_may_be_significant,
+    welch_t,
+    wilcoxon_signed_rank,
+)
 
 # Frozen reference values for Welch's unequal-variance t-test,
 # cross-checked against an independent implementation.
@@ -70,6 +78,78 @@ class TestWelch:
             p = welch_t(a, [x + shift for x in a]).p_value
             assert p < last + 1e-12
             last = p
+
+
+def _t_tail(t, df):
+    """The two-sided Student-t tail. Where t * t is small against df,
+    x = df / (df + t * t) rounds away the digits that carry t, so the
+    complement is passed to betaincc instead."""
+    x = df / (df + t * t)
+    if x < 0.5:
+        return float(betainc(df / 2.0, 0.5, x))
+    return float(betaincc(0.5, df / 2.0, t * t / (df + t * t)))
+
+
+class TestNormalTailBound:
+    """`welch_may_be_significant` rests on erfc(|t| / sqrt 2) being at
+    most the Student-t tail for every df > 0."""
+
+    DFS = [1.0, 1.5, 2.0, 3.0, 10.0, 1e3, 1e5, 1e6]
+
+    def draws(self):
+        rng = random.Random(20261018)
+        yield from ((rng.uniform(0.0, 40.0), math.exp(rng.uniform(0.0, math.log(1e6))))
+                    for _ in range(3000))
+        yield from ((0.0, df) for df in self.DFS)
+        yield from ((40.0, df) for df in self.DFS)  # both sides underflow for large df
+        yield from ((t, df) for t in (1e-9, 1e-6, 1e-3, 0.5, 2.58, 3.3) for df in self.DFS)
+
+    def test_normal_tail_bounds_student_t_tail(self):
+        underflows = 0
+        for t, df in self.draws():
+            lower, tail = math.erfc(t / math.sqrt(2.0)), _t_tail(t, df)
+            if tail < sys.float_info.min:
+                # scipy flushes tails below the normal float range to 0
+                underflows += 1
+                assert lower < sys.float_info.min, (t, df, lower)
+            else:
+                # scipy's incomplete beta is good to about 1e-10 relative
+                # close to x = 1 (t = 2e-10, df = 1 is off by 5e-11)
+                assert lower <= tail * (1.0 + 1e-9), (t, df, lower, tail)
+        assert underflows > 0
+        assert math.erfc(0.0) == _t_tail(0.0, 5.0) == 1.0
+
+    def test_no_p_value_below_alpha_is_ruled_out(self):
+        """Where the check says "not significant", the p-value welch_t
+        computes is at least alpha, on samples whose p-values straddle
+        the common alphas."""
+        rng = random.Random(5)
+        ruled_out = kept = 0
+        for _ in range(3000):
+            a = [rng.gauss(0.0, 1.0) for _ in range(rng.randint(2, 60))]
+            shift = rng.uniform(0.0, 2.0)
+            b = [rng.gauss(shift, rng.choice([0.5, 1.0, 3.0])) for _ in range(rng.randint(2, 60))]
+            p = welch_t(a, b).p_value
+            for alpha in (0.05, 0.01, 0.001):
+                if welch_may_be_significant(a, b, alpha):
+                    kept += 1
+                else:
+                    ruled_out += 1
+                    assert p >= alpha, (a, b, alpha)
+        assert ruled_out > 1000 and kept > 1000
+
+    def test_undecided_cells_need_the_p_value(self):
+        a, b = [0.0, 1.0, 2.0], [3.0, 4.0, 5.0]  # t = -3.67, df = 4
+        assert welch_may_be_significant(a, b, 0.01)
+        assert 0.01 < welch_t(a, b).p_value < 0.05
+        far = [10.0, 11.0, 12.5, 13.0]
+        assert welch_may_be_significant(a, far, 0.01)
+        assert welch_t(a, far).p_value < 0.01
+
+    def test_not_applicable_and_constant_samples_are_never_significant(self):
+        assert not welch_may_be_significant([1.0], [2.0, 3.0], 0.01)
+        assert not welch_may_be_significant([2.0, 2.0], [3.0, 3.0], 0.01)
+        assert not welch_may_be_significant([2.0, 2.0, 2.0], [2.0, 2.0], 0.01)
 
 
 def brute_force_wilcoxon(deltas):
