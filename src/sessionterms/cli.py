@@ -7,11 +7,13 @@ analysis failure, 2 usage or input error: a bad flag (flag values are
 checked before any report is written, also those read from --config:
 --k1 must be a finite number of at least 0, --b a finite number from 0
 to 1, every --dwell-thresholds value a finite number, and each count a
-whole number of at least 1), a
+whole number of at least 1; `sources` also rejects a --k1 so large that
+a BM25 score overflows, before writing any table), a
 --config key that names no `analyze` option a config file can set (every
 option but --corpus and --config), a missing input file, malformed
 input (also a canonical corpus JSON with a missing key or a value of
-the wrong type), or input with nothing to analyze (such as any `analyze`
+the wrong type, such as a term count that is not an integer of at least
+1), or input with nothing to analyze (such as any `analyze`
 on a corpus with no query pair, `sources` on one where no pair's earlier
 query has results, or `sources` with --docs where no such pair has a
 clicked document with text under --docstore-policy; `metrics` without
@@ -40,7 +42,7 @@ from .corpus import (
     normalization_settings,
     to_canonical_json,
 )
-from .similarity import MissingDocstoreError
+from .similarity import MissingDocstoreError, ScoreOverflowError
 from .textnorm import NormalizationConfig, load_stoplist
 
 STOPLIST_ENV = "SESSIONTERMS_STOPLIST"
@@ -252,7 +254,10 @@ def cmd_analyze(args) -> int:
             "fixed_query_similarity", args, corpus,
         )
     elif args.analysis == "sources":
-        scored = sources.score_pairs(pairs, corpus, args.k1, args.b)
+        try:
+            scored = sources.score_pairs(pairs, corpus, args.k1, args.b)
+        except ScoreOverflowError as exc:
+            args.parser.error(f"argument --k1: {exc}; use a smaller value")
         _require_pairs(scored, "sources", "pair whose earlier query has results")
         curve = None  # computed first: a curve with no document exits 2 before any write
         if corpus.docstore:

@@ -435,6 +435,18 @@ def _bag_to_json(bag: TermBag):
     return {t: bag.counts[t] for t in sorted(bag.counts)}
 
 
+def _bag_from_json(counts) -> TermBag:
+    """The TermBag of a canonical JSON bag; TypeError unless every count
+    is an integer (not a boolean) of at least 1. Checked in C-level
+    passes: loading a corpus makes one bag per query and per snippet."""
+    values = counts.values()
+    if values and (set(map(type, values)) != {int} or min(values) < 1):
+        raise TypeError("term counts must be integers of at least 1")
+    bag = TermBag()
+    bag.counts = counts
+    return bag
+
+
 def to_canonical_json(corpus: Corpus) -> bytes:
     """Serialize a corpus to the versioned canonical JSON format."""
     doc = {
@@ -532,7 +544,7 @@ def _corpus_from_doc(doc) -> Corpus:
                 Impression(
                     position=imp["position"],
                     raw_query=imp["raw_query"],
-                    query_terms=TermBag(imp["query_terms"]),
+                    query_terms=_bag_from_json(imp["query_terms"]),
                     results=tuple(
                         SnippetEntry(
                             rank=r["rank"],
@@ -540,7 +552,7 @@ def _corpus_from_doc(doc) -> Corpus:
                             docid=r["docid"],
                             title=r["title"],
                             snippet=r["snippet"],
-                            terms=TermBag(r["terms"]),
+                            terms=_bag_from_json(r["terms"]),
                         )
                         for r in imp["results"]
                     ),

@@ -1,5 +1,13 @@
 """Similarity measures over term sets and bags: Jaccard, term-frequency
 cosine, TFIDF cosine and BM25, plus per-source-kind collection statistics.
+
+`jaccard`, `cosine_tfidf` and `bm25` are each computed from two sides:
+the query side (tf-idf weights and norm, sorted terms and their BM25
+idf) and the bag side (counts, token count, tf-idf norm). To score one
+query against many bags, build its `QuerySide` once and a `BagSide` per
+bag; a bag's norm is computed on first use, and only a bag that shares
+a term with the query needs it. The functions go through the same
+helpers, in the same float operations and order.
 """
 
 from __future__ import annotations
@@ -39,6 +47,10 @@ DOCUMENT_KINDS = {
 
 class MissingDocstoreError(Exception):
     """A document source kind was requested without an attached docstore."""
+
+
+class ScoreOverflowError(ArithmeticError):
+    """A BM25 score left the float range: k1 is too large for the bag."""
 
 
 class _IdfByDf(dict):
@@ -105,14 +117,15 @@ def build_stats(corpus, kind: SourceKind) -> CollectionStats:
     return cache[kind]
 
 
+def _jaccard(common, size_a, size_b):
+    """|A∩B| / |A∪B| from |A∩B|, |A| and |B|; 1.0 when both are empty."""
+    union = size_a + size_b - common
+    return common / union if union else 1.0
+
+
 def jaccard(a: set, b: set) -> float:
     """|A∩B| / |A∪B|; 1.0 when both sets are empty."""
-    if not a and not b:
-        return 1.0
-    union = len(a | b)
-    if union == 0:
-        return 1.0
-    return len(a & b) / union
+    return _jaccard(len(a & b), len(a), len(b))
 
 
 def cosine_tf(a: TermBag, b: TermBag) -> float:
@@ -133,36 +146,109 @@ def _tfidf_weights(counts, stats):
     return list(map(mul, counts.values(), idf))
 
 
+def _norm(weights):
+    """Euclidean norm of weights, summed in their order."""
+    return math.sqrt(sum(map(mul, weights, weights)))
+
+
+def _cosine(query, query_norm, counts, norm, stats):
+    """`cosine_tfidf` from the query side's (term, weight) pairs and norm
+    and a non-empty bag's counts and norm."""
+    if query_norm == 0.0 or norm == 0.0:
+        return 0.0
+    dot = sum(w * (counts[t] * stats.idf_tfidf(t) if t in counts else 0.0) for t, w in query)
+    return dot / (query_norm * norm)
+
+
 def cosine_tfidf(a: TermBag, b: TermBag, stats: CollectionStats) -> float:
     """Cosine over tf*idf weighted vectors; 0.0 on a zero-norm vector."""
     if not a.counts or not b.counts:
         return 0.0
     wa = _tfidf_weights(a.counts, stats)
-    wb = _tfidf_weights(b.counts, stats)
-    b_counts = b.counts
-    dot = sum(
-        w * (b_counts[t] * stats.idf_tfidf(t) if t in b_counts else 0.0)
-        for t, w in zip(a.counts, wa)
-    )
-    norm_a = math.sqrt(sum(map(mul, wa, wa)))
-    norm_b = math.sqrt(sum(map(mul, wb, wb)))
-    if norm_a == 0.0 or norm_b == 0.0:
+    return _cosine(zip(a.counts, wa), _norm(wa), b.counts,
+                   _norm(_tfidf_weights(b.counts, stats)), stats)
+
+
+def _bm25_query(terms, stats):
+    """(term, BM25 idf) of each query term, in sorted (not set) order."""
+    return [(term, stats.idf_bm25(term)) for term in sorted(terms)]
+
+
+def _bm25(query, counts, length, stats, k1, b):
+    """`bm25` of a `_bm25_query` side against a bag's counts and token
+    count. ScoreOverflowError when k1 is so large that the length norm or
+    the score leaves the float range (an infinite length norm would turn
+    every term into a silent 0.0)."""
+    if stats.N == 0 or not counts:
         return 0.0
-    return dot / (norm_a * norm_b)
+    length_norm = k1 * (1.0 - b + b * length / stats.avgdl) if stats.avgdl > 0 else k1
+    score = 0.0
+    for term, idf in query:
+        tf = counts.get(term, 0)
+        if tf == 0:
+            continue
+        score += idf * tf * (k1 + 1.0) / (tf + length_norm)
+    if not (math.isfinite(length_norm) and math.isfinite(score)):
+        raise ScoreOverflowError(f"k1 = {k1!r} makes a BM25 score overflow")
+    return score
 
 
 def bm25(query_terms: set, doc: TermBag, stats: CollectionStats,
          k1: float = 1.2, b: float = 0.75) -> float:
     """Okapi BM25 of a term set against a document bag, summed in sorted
-    (not set) term order."""
-    if stats.N == 0 or not doc.counts:
-        return 0.0
-    dl = doc.length
-    length_norm = k1 * (1.0 - b + b * dl / stats.avgdl) if stats.avgdl > 0 else k1
-    score = 0.0
-    for term in sorted(query_terms):
-        tf = doc.counts.get(term, 0)
-        if tf == 0:
-            continue
-        score += stats.idf_bm25(term) * tf * (k1 + 1.0) / (tf + length_norm)
-    return score
+    (not set) term order. ScoreOverflowError when k1 is too large for the
+    bag's length or the score."""
+    return _bm25(_bm25_query(query_terms, stats), doc.counts, doc.length, stats, k1, b)
+
+
+class BagSide:
+    """A bag's side of `cosine_tfidf` and `bm25` under one collection's
+    statistics: its counts, its token count and, computed on first use,
+    its tf-idf norm. Share one between the queries scored against the
+    bag; the bag must not change."""
+
+    __slots__ = ("counts", "length", "_stats", "_norm")
+
+    def __init__(self, bag: TermBag, stats: CollectionStats):
+        self.counts = bag.counts
+        self.length = sum(bag.counts.values())
+        self._stats = stats
+        self._norm = None
+
+    @property
+    def norm(self):
+        if self._norm is None:
+            self._norm = _norm(_tfidf_weights(self.counts, self._stats))
+        return self._norm
+
+
+class QuerySide:
+    """A query bag's side of `jaccard`, `cosine_tfidf` and `bm25` under
+    one collection's statistics, computed once to score the query against
+    many bags: its tf-idf weights and norm in bag order, and its terms in
+    sorted order with their BM25 idf."""
+
+    __slots__ = ("terms", "stats", "k1", "b", "_tfidf", "_norm", "_bm25")
+
+    def __init__(self, bag: TermBag, stats: CollectionStats, k1: float = 1.2, b: float = 0.75):
+        self.terms = bag.counts.keys()
+        self.stats, self.k1, self.b = stats, k1, b
+        weights = _tfidf_weights(bag.counts, stats)
+        self._tfidf, self._norm = list(zip(self.terms, weights)), _norm(weights)
+        self._bm25 = _bm25_query(self.terms, stats)
+
+    def scores(self, bag: BagSide) -> tuple:
+        """(token count, jaccard, cosine_tfidf, bm25) of the query against
+        a bag, as the functions give them. A bag that shares no term with
+        the query scores 0.0 on both weighted measures without its norm."""
+        counts = bag.counts
+        common = len(self.terms & counts.keys())
+        jac = _jaccard(common, len(self.terms), len(counts))
+        if not common:
+            return (float(bag.length), jac, 0.0, 0.0)
+        return (
+            float(bag.length),
+            jac,
+            _cosine(self._tfidf, self._norm, counts, bag.norm, self.stats),
+            _bm25(self._bm25, counts, bag.length, self.stats, self.k1, self.b),
+        )

@@ -3,7 +3,10 @@ added terms: rank-prefix analysis, last-click windows, source comparison
 with significance marks, historical terms and dwell-time thresholds.
 
 `score_pairs` scores each pair once against every source; the four
-tables only aggregate those scores and apply the docstore policy.
+tables only aggregate those scores and apply the docstore policy. Within
+`score_pairs` the added terms' side of the measures is computed once per
+pair and source kind, a document's side once per distinct docid, and
+impression and historical bags once per session.
 """
 
 from __future__ import annotations
@@ -16,12 +19,11 @@ from .report import ReportTable
 from .similarity import (
     DOCUMENT_KINDS,
     SNIPPET_KINDS,
+    BagSide,
     MissingDocstoreError,
+    QuerySide,
     SourceKind,
-    bm25,
     build_stats,
-    cosine_tfidf,
-    jaccard,
 )
 from .stattests import column_means, pairwise_mean, welch_may_be_significant, welch_t
 from .textnorm import TermBag
@@ -146,20 +148,13 @@ def _added_bag(pair) -> TermBag:
     return TermBag({t: pair.qn1_bag.counts[t] for t in sorted(pair.added)})
 
 
-def _similarities(pair, bags, stats, k1, b):
-    """Per-bag (terms, jaccard, cosine_tfidf, bm25) rows of floats
-    against added terms."""
-    added = pair.added
-    added_bag = _added_bag(pair)
-    return [
-        (
-            float(bag.length),
-            jaccard(added, bag.terms),
-            cosine_tfidf(added_bag, bag, stats),
-            bm25(added, bag, stats, k1=k1, b=b),
-        )
-        for bag in bags
-    ]
+def _similarities(added, bags, stats, k1, b):
+    """Per-bag (terms, jaccard, cosine_tfidf, bm25) rows of floats of a
+    pair's added-term bag against the `BagSide`s of one source kind's
+    bags (None for a None side); the added terms' side is computed once
+    for all of them."""
+    query = QuerySide(added, stats, k1, b)
+    return [None if bag is None else query.scores(bag) for bag in bags]
 
 
 @dataclass(frozen=True, slots=True)
@@ -182,33 +177,47 @@ def score_pairs(pairs, corpus, k1: float = 1.2, b: float = 0.75) -> list:
     """A ScoredPair for each pair whose earlier query has results, in
     pair order, for every table of `analyze sources` to share. Each
     source is scored against the collection statistics of its kind
-    (snippets against all snippets, documents against all documents);
-    impression and historical bags are built once per session."""
+    (snippets against all snippets, documents against all documents).
+
+    Each factor is computed once, at the level it depends on: the added
+    terms' bag per pair, and their side of every measure per pair and
+    source kind (`_similarities`); a document's `BagSide`, with its token
+    count and tf-idf norm, per distinct docid in this call; impression and
+    historical bags per session; Jaccard and the rest per bag. A bag's
+    norm is computed only when the bag shares an added term."""
     snippet_stats = build_stats(corpus, SourceKind.ALL_SNIPPETS)
     if corpus.docstore:
         doc_stats, impression_stats, historical_stats = (
             build_stats(corpus, kind) for kind in
             (SourceKind.ALL_DOCUMENTS, SourceKind.IMPRESSION, SourceKind.HISTORICAL))
+    doc_sides = {}  # docid -> BagSide under doc_stats, None for a missing text
     scored = []
     session, session_bags = None, None
     for pair in pairs:
         imp = pair.before
         if not imp.results:
             continue
-        snippets = _similarities(pair, [r.terms for r in imp.results], snippet_stats, k1, b)
+        added = _added_bag(pair)
+        snippets = _similarities(added, [BagSide(r.terms, snippet_stats) for r in imp.results],
+                                 snippet_stats, k1, b)
         if not corpus.docstore:
             scored.append(ScoredPair(pair, snippets))
             continue
-        bags = [corpus.doc_terms(r.docid) for r in imp.results]
-        rows = iter(_similarities(pair, [bag for bag in bags if bag is not None],
-                                  doc_stats, k1, b))
-        documents = [None if bag is None else next(rows) for bag in bags]
+        sides = []
+        for r in imp.results:
+            if r.docid not in doc_sides:
+                bag = corpus.doc_terms(r.docid)
+                doc_sides[r.docid] = None if bag is None else BagSide(bag, doc_stats)
+            sides.append(doc_sides[r.docid])
+        documents = _similarities(added, sides, doc_stats, k1, b)
         if pair.session is not session:
             session = pair.session
             session_bags = list(_historical_prefixes(corpus, session))
         view, historical = session_bags[pair.position - 1]
-        [impression] = _similarities(pair, view.instances, impression_stats, k1, b)
-        [historical] = _similarities(pair, [historical], historical_stats, k1, b)
+        [impression] = _similarities(added, [BagSide(view.instances[0], impression_stats)],
+                                     impression_stats, k1, b)
+        [historical] = _similarities(added, [BagSide(historical, historical_stats)],
+                                     historical_stats, k1, b)
         scored.append(ScoredPair(pair, snippets, documents, impression, view.complete,
                                  historical))
     return scored

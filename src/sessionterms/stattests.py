@@ -99,10 +99,17 @@ def _welch(sample_a, sample_b):
             return 0.0, 0.0, n1 + n2
         return None, None, n1 + n2
     se2 = var1 / n1 + var2 / n2
+    df_denominator = (var1 / n1) ** 2 / (n1 - 1) + (var2 / n2) ** 2 / (n2 - 1)
+    if df_denominator == 0.0:
+        # The squared variances (and perhaps se2) underflow to 0. t and df
+        # do not change when both samples are scaled by one factor, and a
+        # power of two scales every step exactly, so compute them on
+        # samples scaled until the larger variance is near 1 (once: then
+        # the denominator is far from underflow).
+        scale = math.ldexp(1.0, -(math.frexp(max(var1, var2))[1] // 2))
+        return _welch([x * scale for x in a], [x * scale for x in b])
     t = (mean1 - mean2) / math.sqrt(se2)
-    df = se2 * se2 / (
-        (var1 / n1) ** 2 / (n1 - 1) + (var2 / n2) ** 2 / (n2 - 1)
-    )
+    df = se2 * se2 / df_denominator
     return t, df, n1 + n2
 
 

@@ -2,6 +2,9 @@
 
 The pipeline is tokenize -> stopword filter -> stem, producing a TermBag
 (term frequency counts). All downstream analysis operates on TermBags.
+`normalize` filters and stems in one pass over the tokens, and looks a
+word up in the per-process Porter memo before `stem` runs its regex; each
+distinct ASCII word is stemmed once per process.
 """
 
 from __future__ import annotations
@@ -176,9 +179,13 @@ def stem(token: str) -> str:
 
 
 def normalize(text: str, config: NormalizationConfig) -> TermBag:
-    """Full pipeline: tokenize, remove stopwords, stem, count."""
+    """Full pipeline: tokenize, remove stopwords, stem, count. Stopwords
+    are dropped and the rest stemmed in one pass over the tokens; a word
+    already in the Porter memo skips `stem` and its regex."""
     tokens = tokenize(text, config.keep_numeric_tokens)
-    tokens = [t for t in tokens if t not in config.stoplist]
+    stoplist = config.stoplist
     if config.stemming_enabled:
-        tokens = [stem(t) for t in tokens]
+        tokens = [_STEMS.get(t) or stem(t) for t in tokens if t not in stoplist]
+    else:
+        tokens = [t for t in tokens if t not in stoplist]
     return TermBag.from_tokens(tokens)

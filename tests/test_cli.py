@@ -272,6 +272,33 @@ NO_RANKED_PREDECESSOR_XML = """<sessions>
 </sessions>
 """
 
+# The added term "beta" is in a snippet almost three times the mean
+# snippet length, so with --k1 1e308 its BM25 length norm overflows.
+LONG_SNIPPET_XML = """<sessions>
+  <session num="1">
+    <interaction>
+      <currentquery>alpha</currentquery>
+      <results>
+        <result rank="1"><url>u</url><docid>dA</docid><title></title>
+          <snippet>beta</snippet></result>
+        <result rank="2"><url>u</url><docid>dB</docid><title></title>
+          <snippet>x</snippet></result>
+        <result rank="3"><url>u</url><docid>dC</docid><title></title>
+          <snippet>beta c1 c2 c3 c4 c5 c6 c7 c8 c9 c10 c11 c12 c13 c14 c15 c16 c17 c18 c19
+            c20 c21 c22 c23 c24 c25 c26 c27 c28 c29</snippet></result>
+      </results>
+    </interaction>
+    <interaction>
+      <currentquery>alpha beta</currentquery>
+      <results>
+        <result rank="1"><url>u</url><docid>dD</docid><title></title>
+          <snippet>gamma</snippet></result>
+      </results>
+    </interaction>
+  </session>
+</sessions>
+"""
+
 
 def _bad_xml(old, new):
     """Ingest SESSION_XML with its first `old` replaced by `new`."""
@@ -282,15 +309,15 @@ def _bad_xml(old, new):
     return argv
 
 
-def _analyze_xml(analysis, xml, with_qrels=False):
-    """Run an analysis on the corpus ingested from `xml`."""
+def _analyze_xml(analysis, xml, with_qrels=False, flags=()):
+    """Run an analysis, with `flags`, on the corpus ingested from `xml`."""
     def argv(workspace):
         (workspace / "one.xml").write_text(xml)
         qrels = ["--qrels", str(workspace / "qrels.txt")] if with_qrels else []
         assert main(["ingest", "--trec-xml", str(workspace / "one.xml"), *qrels,
                      "--out", str(workspace / "one.json")]) == 0
         return ["analyze", analysis, "--corpus", str(workspace / "one.json"),
-                "--out-dir", str(workspace / "reports")]
+                "--out-dir", str(workspace / "reports"), *flags]
     return argv
 
 
@@ -328,6 +355,17 @@ def _without_raw_query(doc):
     return doc
 
 
+def _bag_count(key, value):
+    """An edit that sets the first count of the first impression's query
+    bag (key "query_terms") or of its first result's bag ("terms")."""
+    def edit(doc):
+        imp = doc["sessions"][0]["impressions"][0]
+        counts = imp["query_terms"] if key == "query_terms" else imp["results"][0]["terms"]
+        counts[next(iter(counts))] = value
+        return doc
+    return edit
+
+
 def _config_not_object(workspace):
     run_ingest(workspace)
     (workspace / "defaults.json").write_text("[1]")
@@ -345,12 +383,15 @@ def _analyze_flags(analysis, *flags):
     return argv
 
 
-def _config_value(analysis, key, value):
-    """Run an analysis with one flag default taken from a --config file."""
+def _config_value(analysis, key, value, xml=None):
+    """Run an analysis with one flag default taken from a --config file,
+    on the workspace corpus or the one ingested from `xml`."""
     def argv(workspace):
         (workspace / "defaults.json").write_text(json.dumps({key: value}))
-        return _analyze_flags(analysis, "--config", str(workspace / "defaults.json"))(
-            workspace)
+        flags = ("--config", str(workspace / "defaults.json"))
+        if xml is not None:
+            return _analyze_xml(analysis, xml, flags=flags)(workspace)
+        return _analyze_flags(analysis, *flags)(workspace)
     return argv
 
 
@@ -369,6 +410,8 @@ EXIT_2_CASES = {
     "config-k1-negative": _config_value("sources", "k1", -1),
     "config-k1-nan": _config_value("sources", "k1", float("nan")),
     "config-k1-inf": _config_value("sources", "k1", float("inf")),
+    "k1-overflows-bm25": _analyze_xml("sources", LONG_SNIPPET_XML, flags=("--k1", "1e308")),
+    "config-k1-overflows-bm25": _config_value("sources", "k1", 1e308, xml=LONG_SNIPPET_XML),
     "config-b-nan": _config_value("sources", "b", float("nan")),
     "config-b-negative": _config_value("sources", "b", -0.5),
     "cutoff-negative": _analyze_flags("metrics", "--cutoff", "-1"),
@@ -402,6 +445,16 @@ EXIT_2_CASES = {
     "canonical-json-schema-only": _canonical_json(lambda doc: {"schema": 1}),
     "canonical-json-array": _canonical_json(lambda doc: [1, 2]),
     "canonical-json-impression-without-raw-query": _canonical_json(_without_raw_query),
+    "canonical-json-query-count-half": _canonical_json(_bag_count("query_terms", 0.5)),
+    "canonical-json-query-count-fraction": _canonical_json(_bag_count("query_terms", 2.7)),
+    "canonical-json-query-count-zero": _canonical_json(_bag_count("query_terms", 0)),
+    "canonical-json-query-count-negative": _canonical_json(_bag_count("query_terms", -1)),
+    "canonical-json-query-count-true": _canonical_json(_bag_count("query_terms", True)),
+    "canonical-json-snippet-count-half": _canonical_json(_bag_count("terms", 0.5)),
+    "canonical-json-snippet-count-fraction": _canonical_json(_bag_count("terms", 2.7)),
+    "canonical-json-snippet-count-zero": _canonical_json(_bag_count("terms", 0)),
+    "canonical-json-snippet-count-negative": _canonical_json(_bag_count("terms", -1)),
+    "canonical-json-snippet-count-true": _canonical_json(_bag_count("terms", True)),
     "missing-corpus-file": lambda workspace: [
         "analyze", "pairs", "--corpus", str(workspace / "missing.json"),
         "--out-dir", str(workspace / "reports"),

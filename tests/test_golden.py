@@ -1,6 +1,9 @@
 """Golden report check: `ingest` plus the five `analyze` commands,
 `analyze sources --docstore-policy empty` and `analyze metrics --cutoff
-5`, on a fixed synthetic log must write exactly the recorded bytes.
+5`, on a fixed synthetic log must write exactly the recorded bytes. So
+must `ingest` and the five `analyze` commands on a small English log,
+which takes stopwords, Porter stemming, HTML stripping and documents
+shared between sessions through the same path.
 
 Each command runs in its own process with PYTHONHASHSEED=0, as a user
 would run it. Report bytes must not depend on the hash seed: `analyze
@@ -11,6 +14,7 @@ meant to alter a report, record the new digests here in the same change.
 
 import hashlib
 import os
+import random
 import subprocess
 import sys
 from xml.sax.saxutils import escape, quoteattr
@@ -75,6 +79,34 @@ GOLDEN_CUTOFF_5 = {
 }
 
 
+# `ingest` and the five `analyze` commands on `write_english_inputs`.
+GOLDEN_ENGLISH = {
+    "click_outcomes.csv": "0544cb43b0ec42f56959931c3218e3dda28e4f2feb3aa03e16b9f3cbe013ad65",
+    "click_outcomes.md": "2ff52f564ecedbcf40b52b59c20ef7d8dd4e0b9985d6f50d7eafdc619354bf66",
+    "corpus.json": "e5e713f68586edd7346ba4656d8a241d91422f62ec38806b9094e036978063dc",
+    "dwell_thresholds.csv": "facebcdf018cc559b7beba418ef2b74500357870ad52b8304a2c9ec09c10d902",
+    "fixed_query_similarity.csv": "177ec8b599e424653dcff759dc82875fbac9860cd1ffe89189ae16a31fc6f31a",
+    "impression_metrics.csv": "654a7f20f94db41a78011f3b64992e4db48fd38ae37003e55744e0e7a512582d",
+    "last_click.csv": "0c4c88b7248a6e3d04908487f06f71fa237eb0b9969399f6a905b52719fef92a",
+    "last_click.md": "75a6046c9ab9e4b994aa29f7feffea80e047701bd06589e7a079d86e114a0a2d",
+    "metrics_by_position.csv": "3a84de700fb3f3cc4c1ab09f040c2079075db4241c928f7aedab7bddac219025",
+    "pair_summary.csv": "b94c3fe38c76dbdf2bdfbeab90466a9f689508d2f1527619c85c028dcf83b637",
+    "pair_summary.md": "3a3dfcf6f7fe53bf12238b0b9713ddb102d16a8b4ae1bcc15484f8a6bffd87af",
+    "query_length_by_position.csv": "d544714beb3edeb41ad28ce71f74f1373baeedbe81394f2756cdd83a763f1e77",
+    "rank_prefix.csv": "70811a1b333ab81a1e6403232ab1d02b1d8e8b276cab1b6361ccbb4edce931b1",
+    "rank_prefix.md": "cda923f52d40f98fd10047efc2dd9112baff739505d952625d056242ad34efb2",
+    "retention_by_scenario.csv": "41e952bb1e39827845b4d6d4d37d388e6d66cbc0bd4f48398592ba7939e9bee2",
+    "scenario_distribution.csv": "3cccb92567637e2c624f3f3c31021a8ef1cfc3c6d033e2b49e12c9c227c258f6",
+    "scenario_distribution.md": "b1dff9127164532e411f802262d94acedcfffdb0c21159846cdd4373f03c49d1",
+    "scenario_metric_eval.csv": "02d5b642500ddeb0988053cb1801894130e33795b5be8b5eca901bb984da01c5",
+    "scenario_metric_eval.md": "d13b987ca92bb410e837ee8c5c9faedd29a4fb0a853c193b739fd264014b5488",
+    "scenario_records.csv": "3588153fb3cbefcbbcaaecff7d1f1d82810f9f0fb1a4701636236ea98f9f557f",
+    "similarity_by_position.csv": "7fd64106c7376f303caaad6a6586c9dd976b455174c3ddfb57396a169d1ca937",
+    "source_comparison.csv": "6e02ecc74cae74cfcfc7ca8928e843315b66876e571740a600c52a4b53face07",
+    "source_comparison.md": "42672a87303e3603c521b1f7507253be76665a12845260488a12b73c27d6498d",
+}
+
+
 def _topic(index):
     """Three topics round-robin; every fourth session has none."""
     return None if index % 4 == 3 else f"t{index % 3}"
@@ -131,6 +163,80 @@ def write_inputs(directory):
                 f.write(text)
 
 
+# Each topic's words: inflections Porter folds together (run, running,
+# runs), a digit-bearing token, a non-ASCII word and words of two letters.
+ENGLISH_TOPICS = {
+    "e1": "running runs runner marathons marathon trained training shoes injuries "
+          "injured knees stretching 10k ok",
+    "e2": "connection connected connecting networks network routers wireless "
+          "signals cables configured configuration settings wi fi",
+    "e3": "policies policy elections elected voters voting campaigns campaigned "
+          "candidates debates taxes taxation café",
+}
+ENGLISH_COMMON = "information resources reviews studies reported analysis 2015 guide"
+ENGLISH_STOPWORDS = "the of and a in for is to on with how what about".split()
+
+
+def _english_words(rng, topic, n):
+    words = []
+    for _ in range(n):
+        x = rng.random()
+        pool = (ENGLISH_STOPWORDS if x < 0.3 else ENGLISH_COMMON.split() if x < 0.45
+                else ENGLISH_TOPICS[topic].split())
+        words.append(rng.choice(pool))
+    return " ".join(words)
+
+
+def write_english_inputs(directory):
+    """TREC XML, qrels and an HTML docs directory for three topics of
+    three sessions each. Every result of a topic comes from its six
+    documents, so the sessions of a topic share documents."""
+    rng = random.Random(41)
+    xml = ["<sessiontrack>"]
+    qrels = []
+    docs = os.path.join(directory, "docs")
+    os.mkdir(docs)
+    for topic in ENGLISH_TOPICS:
+        docids = [f"{topic}-doc{i}" for i in range(6)]
+        for docid in docids:
+            qrels.append(f"{topic} 0 {docid} {rng.randint(0, 3)}\n")
+            paragraphs = "".join(f"<p>{escape(_english_words(rng, topic, 12))} &amp; more</p>"
+                                 for _ in range(rng.randint(2, 4)))
+            with open(os.path.join(docs, docid), "w", encoding="utf-8") as f:
+                f.write(f"<html><head><title>{topic} page</title><style>p {{ margin: 0 }}"
+                        f"</style><script>var x = {rng.randint(1, 99)};</script></head>"
+                        f"<body><!-- nav -->{paragraphs}</body></html>\n")
+        for index in range(3):
+            xml.append(f'<session num="{topic}-s{index}"><topic num="{topic}"/>')
+            for _ in range(rng.randint(2, 4)):
+                query = escape(_english_words(rng, topic, rng.randint(2, 4)))
+                xml.append(f"<interaction><query>{query}</query><results>")
+                results = rng.sample(docids, 5)
+                for rank, docid in enumerate(results, start=1):
+                    xml.append(f'<result rank="{rank}"><url>http://{docid}.example</url>'
+                               f"<docid>{docid}</docid><title>{topic} page</title>"
+                               f"<snippet>{escape(_english_words(rng, topic, 8).capitalize())}</snippet>"
+                               "</result>")
+                xml.append("</results><clicked>")
+                start = 0.0
+                for order, rank in enumerate(sorted(rng.sample(range(1, 6), rng.randint(0, 2))),
+                                             start=1):
+                    end = start + rng.choice([3.0, 12.5, 40.0])
+                    xml.append(f'<click num="{order}" starttime="{start!r}" '
+                               f'endtime="{end!r}"><rank>{rank}</rank></click>')
+                    start = end + 1.0
+                xml.append("</clicked></interaction>")
+            if index == 2:
+                xml.append(f"<currentquery>{escape(_english_words(rng, topic, 3))}"
+                           "</currentquery>")
+            xml.append("</session>")
+    xml.append("</sessiontrack>")
+    with open(os.path.join(directory, "sessions.xml"), "w", encoding="utf-8") as f:
+        f.write("\n".join(xml) + "\n")
+    with open(os.path.join(directory, "qrels.txt"), "w", encoding="utf-8") as f:
+        f.write("".join(qrels))
+
+
 def _sessionterms(directory, *command, hash_seed="0"):
     env = dict(os.environ, PYTHONHASHSEED=hash_seed)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
@@ -152,22 +258,36 @@ def _listing(directory):
     return [os.path.join(directory, n) for n in sorted(os.listdir(directory))]
 
 
-@pytest.fixture(scope="module")
-def ingested(tmp_path_factory):
-    """Directory holding the inputs and the ingested corpus.json."""
-    directory = str(tmp_path_factory.mktemp("golden"))
-    write_inputs(directory)
+def _ingest(directory):
     _sessionterms(directory, "ingest", "--trec-xml", "sessions.xml", "--qrels", "qrels.txt",
                   "--docs", "docs", "--out", "corpus.json")
     return directory
 
 
-def test_reports_match_golden_digests(ingested):
+def _all_digests(directory):
+    """Digests of corpus.json and of the five analyses' reports."""
     for analysis in ANALYSES:
-        _sessionterms(ingested, "analyze", analysis, "--corpus", "corpus.json",
+        _sessionterms(directory, "analyze", analysis, "--corpus", "corpus.json",
                       "--out-dir", "reports")
-    corpus = os.path.join(ingested, "corpus.json")
-    assert _digests([corpus] + _listing(os.path.join(ingested, "reports"))) == GOLDEN
+    corpus = os.path.join(directory, "corpus.json")
+    return _digests([corpus] + _listing(os.path.join(directory, "reports")))
+
+
+@pytest.fixture(scope="module")
+def ingested(tmp_path_factory):
+    """Directory holding the inputs and the ingested corpus.json."""
+    directory = str(tmp_path_factory.mktemp("golden"))
+    write_inputs(directory)
+    return _ingest(directory)
+
+
+def test_reports_match_golden_digests(ingested):
+    assert _all_digests(ingested) == GOLDEN
+
+
+def test_english_reports_match_golden_digests(tmp_path):
+    write_english_inputs(str(tmp_path))
+    assert _all_digests(_ingest(str(tmp_path))) == GOLDEN_ENGLISH
 
 
 def test_docstore_policy_empty_matches_golden_digests(ingested):

@@ -1,11 +1,16 @@
 import math
 import random
+from itertools import repeat
+from operator import mul
 
 import numpy as np
 import pytest
 
 from sessionterms.similarity import (
+    BagSide,
     CollectionStats,
+    QuerySide,
+    ScoreOverflowError,
     SourceKind,
     bm25,
     cosine_tf,
@@ -36,6 +41,108 @@ def loop_cosine_tfidf(a, b, stats):
     if norm_a == 0.0 or norm_b == 0.0:
         return 0.0
     return dot / (norm_a * norm_b)
+
+
+# The three measures as written before their query and bag sides were
+# factored out, kept as oracles: every score must equal them bit for bit.
+def oracle_jaccard(a, b):
+    if not a and not b:
+        return 1.0
+    union = len(a | b)
+    if union == 0:
+        return 1.0
+    return len(a & b) / union
+
+
+def _oracle_weights(counts, stats):
+    idf = map(stats._tfidf_idf.__getitem__, map(stats.df.get, counts, repeat(0)))
+    return list(map(mul, counts.values(), idf))
+
+
+def oracle_cosine_tfidf(a, b, stats):
+    if not a.counts or not b.counts:
+        return 0.0
+    wa = _oracle_weights(a.counts, stats)
+    wb = _oracle_weights(b.counts, stats)
+    b_counts = b.counts
+    dot = sum(
+        w * (b_counts[t] * stats.idf_tfidf(t) if t in b_counts else 0.0)
+        for t, w in zip(a.counts, wa)
+    )
+    norm_a = math.sqrt(sum(map(mul, wa, wa)))
+    norm_b = math.sqrt(sum(map(mul, wb, wb)))
+    if norm_a == 0.0 or norm_b == 0.0:
+        return 0.0
+    return dot / (norm_a * norm_b)
+
+
+def oracle_bm25(query_terms, doc, stats, k1=1.2, b=0.75):
+    if stats.N == 0 or not doc.counts:
+        return 0.0
+    dl = doc.length
+    length_norm = k1 * (1.0 - b + b * dl / stats.avgdl) if stats.avgdl > 0 else k1
+    score = 0.0
+    for term in sorted(query_terms):
+        tf = doc.counts.get(term, 0)
+        if tf == 0:
+            continue
+        score += stats.idf_bm25(term) * tf * (k1 + 1.0) / (tf + length_norm)
+    return score
+
+
+def oracle_row(added, bag, stats, k1=1.2, b=0.75):
+    """The (terms, jaccard, cosine, bm25) row of an added-term bag against
+    a bag, by the oracles."""
+    return (float(bag.length), oracle_jaccard(added.terms, bag.terms),
+            oracle_cosine_tfidf(added, bag, stats), oracle_bm25(added.terms, bag, stats, k1, b))
+
+
+class TestFactoredScores:
+    """Seeded bags, with empty ones and terms the statistics never saw."""
+
+    SETTINGS = [(1.2, 0.75), (0.0, 0.0), (2.0, 1.0), (0.5, 0.3)]
+
+    @staticmethod
+    def _bags(seed):
+        rng = random.Random(seed)
+        vocab = [f"t{i}" for i in range(25)]
+        stats = CollectionStats.from_bags(
+            [random_bag(rng, vocab, max_terms=10) for _ in range(30)], SourceKind.ALL_DOCUMENTS)
+        extended = vocab + ["unseen1", "unseen2"]
+        queries = [TermBag({})] + [random_bag(rng, extended, max_terms=4) for _ in range(40)]
+        bags = [TermBag({})] + [random_bag(rng, extended, max_terms=14, max_count=6)
+                                for _ in range(60)]
+        return stats, queries, bags
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_functions_equal_the_oracles(self, seed):
+        stats, queries, bags = self._bags(seed)
+        for k1, b in self.SETTINGS:
+            for query in queries:
+                for bag in bags:
+                    assert jaccard(query.terms, bag.terms) == oracle_jaccard(query.terms, bag.terms)
+                    assert cosine_tfidf(query, bag, stats) == oracle_cosine_tfidf(query, bag, stats)
+                    assert (bm25(query.terms, bag, stats, k1, b)
+                            == oracle_bm25(query.terms, bag, stats, k1, b))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_sides_equal_the_oracles(self, seed):
+        """Each BagSide is shared by every query, as a document's is."""
+        stats, queries, bags = self._bags(seed)
+        for k1, b in self.SETTINGS:
+            sides = [BagSide(bag, stats) for bag in bags]
+            for query in queries:
+                side = QuerySide(query, stats, k1, b)
+                for bag, bag_side in zip(bags, sides):
+                    assert side.scores(bag_side) == oracle_row(query, bag, stats, k1, b)
+
+    def test_bm25_overflow_raises(self):
+        stats = CollectionStats(kind=SourceKind.ALL_DOCUMENTS, N=3, df={"t": 1}, avgdl=2.0)
+        long_doc = TermBag({"t": 1, "u": 9})  # length norm 1e308 * 4
+        with pytest.raises(ScoreOverflowError, match="k1 = 1e\\+308"):
+            bm25({"t"}, long_doc, stats, k1=1e308)
+        assert bm25({"t"}, TermBag({"t": 1}), stats, k1=1e308) > 0.0
+        assert bm25({"t"}, long_doc, stats, k1=1e300) == oracle_bm25({"t"}, long_doc, stats, 1e300)
 
 
 class TestJaccard:

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sessionterms import sources
+from sessionterms import similarity, sources
 from sessionterms.actions import extract_pairs
 from sessionterms.cli import main
 from sessionterms.corpus import to_canonical_json
@@ -17,13 +17,16 @@ from sessionterms.similarity import (
     CollectionStats,
     MissingDocstoreError,
     SourceKind,
+    bm25,
     build_stats,
+    cosine_tfidf,
+    jaccard,
 )
 from sessionterms.sources import (
     EMPTY,
     SOURCE_ROWS,
+    _added_bag,
     _historical_prefixes,
-    _similarities,
     dwell_threshold_curve,
     extract_source,
     historical_terms,
@@ -39,6 +42,7 @@ from sessionterms.synthgen import GeneratorSpec, generate
 from sessionterms.textnorm import TermBag
 
 from conftest import make_corpus, make_impression
+from test_similarity import oracle_row
 
 
 @pytest.fixture
@@ -143,6 +147,15 @@ def synth_corpus(session_length=5, sessions=6):
     return replace(corpus, docstore=docstore)
 
 
+def definition_rows(pair, bags, stats):
+    """(terms, jaccard, cosine, bm25) rows of a pair's added terms against
+    bags, each measure called on its own as the definition reads."""
+    added = _added_bag(pair)
+    return [(float(bag.length), jaccard(pair.added, bag.terms),
+             cosine_tfidf(added, bag, stats), bm25(pair.added, bag, stats))
+            for bag in bags]
+
+
 def chained_historical(corpus, session, n):
     """The historical bag by its definition: the impression bags of the
     non-test queries at positions 1..n, chained with `add`."""
@@ -151,6 +164,91 @@ def chained_historical(corpus, session, n):
         if not imp.is_test_query:
             merged = merged.add(extract_source(imp, SourceKind.IMPRESSION, corpus).instances[0])
     return merged
+
+
+@pytest.fixture
+def shared_docs_corpus(plain_config):
+    """Documents listed by several impressions of two sessions, an empty
+    snippet and an empty document, a missing document, a pair with no
+    added term and an added term no source holds."""
+    a = [
+        make_impression(1, "a b", plain_config, snippets=["a x", "c d e", ""],
+                        docids=["d1", "d2", "d3"], clicks=[(1, 0, 30)]),
+        make_impression(2, "a b c", plain_config, snippets=["c y", "z c"],
+                        docids=["d2", "d1"], clicks=[(2, 0, 10)]),
+        make_impression(3, "a", plain_config, snippets=["a q"], docids=["d1"]),
+        make_impression(4, "a unseen", plain_config, snippets=["w"], docids=["d4"]),
+    ]
+    b = [
+        make_impression(1, "c", plain_config, snippets=["c c d", "b"],
+                        docids=["d2", "dmissing"], clicks=[(2, 0, 5)]),
+        make_impression(2, "c d b", plain_config, snippets=["d"], docids=["d1"]),
+    ]
+    docstore = {"d1": "a b c x c", "d2": "c d d e", "d3": "", "d4": "w w a"}
+    return make_corpus([("A", None, a), ("B", None, b)], plain_config, docstore=docstore)
+
+
+class TestScoresEqualTheOracles:
+    @pytest.mark.parametrize("k1,b", [(1.2, 0.75), (0.0, 0.0), (2.0, 1.0)])
+    def test_every_row_equals_the_oracle(self, shared_docs_corpus, k1, b):
+        for corpus in (shared_docs_corpus, synth_corpus(sessions=8)):
+            pairs = extract_pairs(corpus)
+            scored = score_pairs(pairs, corpus, k1, b)
+            assert len(scored) == sum(1 for p in pairs if p.before.results)
+            stats = {kind: build_stats(corpus, kind) for kind in (
+                SourceKind.ALL_SNIPPETS, SourceKind.ALL_DOCUMENTS, SourceKind.IMPRESSION,
+                SourceKind.HISTORICAL)}
+            for s in scored:
+                added, imp = _added_bag(s.pair), s.pair.before
+                assert s.snippets == [oracle_row(added, r.terms, stats[SourceKind.ALL_SNIPPETS],
+                                                 k1, b) for r in imp.results]
+                bags = [corpus.doc_terms(r.docid) for r in imp.results]
+                assert s.documents == [
+                    None if bag is None
+                    else oracle_row(added, bag, stats[SourceKind.ALL_DOCUMENTS], k1, b)
+                    for bag in bags]
+                view = extract_source(imp, SourceKind.IMPRESSION, corpus)
+                assert s.impression == oracle_row(added, view.instances[0],
+                                                  stats[SourceKind.IMPRESSION], k1, b)
+                assert s.impression_complete == view.complete
+                historical = chained_historical(corpus, s.pair.session, s.pair.position)
+                assert s.historical == oracle_row(added, historical,
+                                                  stats[SourceKind.HISTORICAL], k1, b)
+
+    def test_corpus_covers_the_edge_cases(self, shared_docs_corpus):
+        pairs = extract_pairs(shared_docs_corpus)
+        assert {frozenset(p.added) for p in pairs} == {
+            frozenset({"c"}), frozenset(), frozenset({"unseen"}), frozenset({"b", "d"})}
+        assert shared_docs_corpus.doc_terms("d3").counts == {}
+        listed = Counter(r.docid for p in pairs for r in p.before.results)
+        assert listed["d1"] == 3 and listed["d2"] == 3 and listed["dmissing"] == 1
+
+    def test_each_documents_norm_is_computed_once_per_call(self, shared_docs_corpus,
+                                                           monkeypatch):
+        """A document's tf-idf norm is computed once per `score_pairs`
+        call, and only for a document that shares an added term with a
+        pair whose earlier impression lists it."""
+        corpus = shared_docs_corpus
+        docid_of = {id(corpus.doc_terms(d).counts): d for d in corpus.docstore}
+        doc_stats = build_stats(corpus, SourceKind.ALL_DOCUMENTS)
+        computed = Counter()
+        weights = similarity._tfidf_weights
+
+        def counting(counts, stats):
+            if stats is doc_stats and id(counts) in docid_of:
+                computed[docid_of[id(counts)]] += 1
+            return weights(counts, stats)
+
+        monkeypatch.setattr(similarity, "_tfidf_weights", counting)
+        pairs = extract_pairs(corpus)
+        needed = {r.docid for p in pairs for r in p.before.results
+                  if r.docid in corpus.docstore
+                  and p.added & corpus.doc_terms(r.docid).terms}
+        assert needed == {"d1", "d2"}  # each listed by three impressions
+        for _ in range(2):
+            computed.clear()
+            score_pairs(pairs, corpus)
+            assert computed == Counter(needed)
 
 
 class TestSharedSourceWork:
@@ -210,7 +308,7 @@ class TestSharedSourceWork:
                     instances, ok = view.instances, view.complete or policy == EMPTY
                 if ok and instances:
                     scores = np.asarray(
-                        _similarities(pair, instances, build_stats(corpus, base), 1.2, 0.75))
+                        definition_rows(pair, instances, build_stats(corpus, base)))
                     samples[label].append(scores.mean(axis=0))
         table = source_comparison(score_pairs(pairs, corpus), policy)
         assert set(table.rows) == {label for label, rows in samples.items() if rows}
@@ -228,12 +326,20 @@ class TestSharedSourceWork:
         path = tmp_path / "corpus.json"
         path.write_bytes(to_canonical_json(corpus))
         scored = Counter()
-        similarities = sources._similarities
+        similarities, added_bag = sources._similarities, sources._added_bag
+        pair_of = {}  # id of an added-term bag -> (session id, position)
+        bags = []  # keeps every added-term bag alive, so no id is reused
 
-        def counting(pair, bags, stats, k1, b):
-            scored[(pair.session_id, pair.position, stats.kind)] += 1
-            return similarities(pair, bags, stats, k1, b)
+        def counting_added_bag(pair):
+            bags.append(added_bag(pair))
+            pair_of[id(bags[-1])] = (pair.session_id, pair.position)
+            return bags[-1]
 
+        def counting(added, bags, stats, k1, b):
+            scored[(*pair_of[id(added)], stats.kind)] += 1
+            return similarities(added, bags, stats, k1, b)
+
+        monkeypatch.setattr(sources, "_added_bag", counting_added_bag)
         monkeypatch.setattr(sources, "_similarities", counting)
         assert main(["analyze", "sources", "--corpus", str(path),
                      "--out-dir", str(tmp_path / "reports")]) == 0
@@ -244,6 +350,7 @@ class TestSharedSourceWork:
         assert set(scored) == {(p.session_id, p.position, kind) for p in pairs
                                if p.before.results for kind in kinds}
         assert set(scored.values()) == {1}
+        assert len(bags) == len(set(pair_of.values()))  # one added-term bag per pair
 
     @pytest.mark.parametrize("session_length", [6, 12])
     def test_source_comparison_builds_linear_impression_bags(self, session_length, monkeypatch):
@@ -437,7 +544,7 @@ class TestDwell:
         def fail(*args, **kwargs):
             raise AssertionError("dwell_threshold_curve scored a source")
 
-        for name in ("_similarities", "jaccard", "cosine_tfidf", "bm25"):
+        for name in ("_similarities", "QuerySide", "BagSide"):
             monkeypatch.setattr(sources, name, fail)
         assert dwell_threshold_curve(scored, thresholds=(0,)) == expected
         assert expected[0][1] == scored[0].documents[0][2]  # the clicked document's cosine
@@ -455,9 +562,10 @@ class TestDwell:
 # the cosine and BM25 floats differ between hash seeds.
 HASH_SEED_SCRIPT = """
 from conftest import make_corpus, make_impression
+from test_similarity import oracle_row
 from sessionterms.actions import extract_pairs
-from sessionterms.similarity import SourceKind, build_stats
-from sessionterms.sources import _similarities
+from sessionterms.similarity import BagSide, SourceKind, build_stats
+from sessionterms.sources import _added_bag, _similarities
 from sessionterms.textnorm import NormalizationConfig
 
 config = NormalizationConfig(stoplist=frozenset(), stemming_enabled=False)
@@ -473,7 +581,8 @@ second = make_impression(2, "q " + later, config, snippets=["s"])
 corpus = make_corpus([("h", None, [first, second])], config)
 [pair] = extract_pairs(corpus)
 stats = build_stats(corpus, SourceKind.ALL_SNIPPETS)
-print(repr(_similarities(pair, [r.terms for r in first.results], stats, 1.2, 0.75)))
+print(repr(_similarities(_added_bag(pair), [BagSide(r.terms, stats) for r in first.results],
+                         stats, 1.2, 0.75)))
 """
 
 

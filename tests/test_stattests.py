@@ -39,6 +39,24 @@ WILCOXON_REFERENCE = [
 ]
 
 
+def plain_welch(sample_a, sample_b):
+    """(t, p) of Welch's test as written before underflowing variances
+    were scaled, the oracle for every sample it does not divide by zero
+    on."""
+    a = [float(x) for x in sample_a]
+    b = [float(x) for x in sample_b]
+    n1, n2 = len(a), len(b)
+    mean1, mean2 = sum(a) / n1, sum(b) / n2
+    var1 = sum((x - mean1) ** 2 for x in a) / (n1 - 1)
+    var2 = sum((x - mean2) ** 2 for x in b) / (n2 - 1)
+    if var1 == 0.0 and var2 == 0.0:
+        return (0.0, 1.0) if mean1 == mean2 else (None, None)
+    se2 = var1 / n1 + var2 / n2
+    t = (mean1 - mean2) / math.sqrt(se2)
+    df = se2 * se2 / ((var1 / n1) ** 2 / (n1 - 1) + (var2 / n2) ** 2 / (n2 - 1))
+    return t, float(betainc(df / 2.0, 0.5, df / (df + t * t)))
+
+
 class TestWelch:
     @pytest.mark.parametrize("a,b,t_ref,p_ref", WELCH_REFERENCE)
     def test_reference_values(self, a, b, t_ref, p_ref):
@@ -70,6 +88,44 @@ class TestWelch:
 
     def test_zero_variance_unequal_means_not_applicable(self):
         assert not welch_t([2.0, 2.0], [3.0, 3.0]).applicable
+
+    def test_tiny_variances_scale_exactly(self):
+        """Variances below about 1e-154 square to 0; t and df come from
+        the samples scaled by a power of two, which changes no bit."""
+        a, b = [0.0, 1e-160, 2e-160], [1e-160, 3e-160, 4e-160]
+        result = welch_t(a, b)
+        scaled = welch_t([x * 2.0 ** 600 for x in a], [x * 2.0 ** 600 for x in b])
+        assert (result.statistic, result.p_value) == (scaled.statistic, scaled.p_value)
+        assert result.statistic == pytest.approx(welch_t([0, 1, 2], [1, 3, 4]).statistic)
+        assert 0.0 < result.p_value < 1.0
+
+    @pytest.mark.parametrize("exponent", [-450, -300, -100, 100, 200])
+    def test_power_of_two_scaling_keeps_every_bit(self, exponent):
+        rng = random.Random(exponent)
+        scale = 2.0 ** exponent
+        for _ in range(300):
+            a = [float(rng.randint(0, 20)) for _ in range(rng.randint(2, 9))]
+            b = [float(rng.randint(0, 20) + rng.randint(-5, 5)) for _ in range(rng.randint(2, 9))]
+            base = welch_t(a, b)
+            scaled = welch_t([x * scale for x in a], [x * scale for x in b])
+            assert (scaled.statistic, scaled.p_value) == (base.statistic, base.p_value)
+
+    def test_keeps_the_bits_of_every_result_the_plain_formula_gives(self):
+        rng = random.Random(31)
+        checked = 0
+        for _ in range(2000):
+            exponent = rng.choice([0, 0, 0, -76, -150, -160, 76, 150])
+            n1, n2 = rng.randint(2, 8), rng.randint(2, 8)
+            a = [rng.gauss(0.0, 1.0) * 10.0 ** exponent for _ in range(n1)]
+            b = [rng.gauss(0.5, 2.0) * 10.0 ** exponent for _ in range(n2)]
+            try:
+                expected = plain_welch(a, b)
+            except (ZeroDivisionError, OverflowError):
+                continue
+            checked += 1
+            result = welch_t(a, b)
+            assert (result.statistic, result.p_value) == expected
+        assert checked > 1000
 
     def test_p_monotone_in_separation(self):
         a = [0.0, 1.0, 2.0, 3.0]

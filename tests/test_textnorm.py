@@ -1,6 +1,9 @@
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sessionterms import porter, textnorm
 from sessionterms.textnorm import (
@@ -264,6 +267,45 @@ class TestNormalize:
             "the quick brown foxes jumped",
         ]:
             assert normalize(text, stemmed).length == normalize(text, raw).length
+
+
+def pipeline_normalize(text, config):
+    """normalize as written before it became one pass over the tokens:
+    filter stopwords, then Porter-stem every ASCII word, with no memo."""
+    tokens = tokenize(text, config.keep_numeric_tokens)
+    tokens = [t for t in tokens if t not in config.stoplist]
+    if config.stemming_enabled:
+        tokens = [porter.stem(t) if re.match(r"^[a-z]+$", t) else t for t in tokens]
+    return TermBag.from_tokens(tokens)
+
+
+_WORDS = ["running", "Runs", "connected", "policies", "caresses", "ponies", "agreed",
+          "happiness", "generalizations", "a", "is", "ox", "be", "THE", "of", "and"]
+_TOKENS = st.one_of(
+    st.sampled_from(_WORDS),
+    st.sampled_from(sorted(default_stoplist())),
+    st.text("abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=9),
+    st.text("0123456789", min_size=1, max_size=5),
+    st.text("ab1éüßçñ", min_size=1, max_size=6),
+    st.text("xyz", min_size=1, max_size=2),
+)
+_TEXTS = st.lists(st.tuples(_TOKENS, st.sampled_from([" ", ", ", "-", ". ", "\n"])),
+                  max_size=25).map(lambda parts: "".join(t + sep for t, sep in parts))
+
+
+class TestNormalizeEqualsPipeline:
+    @pytest.mark.parametrize("stemming", [True, False])
+    @pytest.mark.parametrize("keep_numeric", [True, False])
+    @settings(max_examples=150, deadline=None)
+    @given(text=_TEXTS)
+    def test_same_ordered_counts(self, stemming, keep_numeric, text):
+        for stoplist in (None, frozenset({"ox", "12", "é"})):
+            config = NormalizationConfig(stoplist=stoplist, stemming_enabled=stemming,
+                                         keep_numeric_tokens=keep_numeric)
+            expected = list(pipeline_normalize(text, config).counts.items())
+            # twice: the second pass finds every ASCII word in the memo
+            assert list(normalize(text, config).counts.items()) == expected
+            assert list(normalize(text, config).counts.items()) == expected
 
 
 class TestStoplist:
