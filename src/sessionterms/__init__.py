@@ -52,9 +52,8 @@ from .similarity import (
     jaccard,
 )
 from .sources import (
+    SourceIndex,
     dwell_threshold_curve,
-    extract_source,
-    historical_terms,
     last_click_similarity,
     rank_prefix_similarity,
     score_pairs,

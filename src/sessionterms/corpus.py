@@ -3,15 +3,9 @@
 Supports TREC Session Track style XML, 4-column qrels, a document-text
 sidecar directory and a versioned canonical JSON interchange format.
 Sessions, impressions, results and clicks are frozen dataclasses.
-`Corpus` is not: it is a plain mutable dataclass that fills two
-per-instance memos on first use, so its fields must not change after
-that:
-
-- `doc_terms`: the normalized bag of each sidecar document;
-- `similarity.build_stats`: the collection statistics of each source
-  kind.
-
-A copy made with `dataclasses.replace` starts with empty memos.
+`Corpus` is a plain dataclass with no memo: `doc_terms` normalizes a
+document on every call, and `sources.SourceIndex` keeps each bag for
+an analysis.
 
 `RelevanceJudgments` indexes its judgments by topic at construction
 (each topic's grades and relevant count), so its `grades` must not
@@ -130,17 +124,10 @@ class Corpus:
     incomplete_impressions: frozenset = frozenset()
 
     def doc_terms(self, docid) -> TermBag | None:
-        """Normalized term bag of a sidecar document, or None if absent.
-
-        Normalization is memoized; the docstore is immutable after
-        ingestion so the cache never goes stale.
-        """
+        """Normalized term bag of a sidecar document, or None if absent."""
         if not self.docstore or docid not in self.docstore:
             return None
-        cache = self.__dict__.setdefault("_doc_bag_cache", {})
-        if docid not in cache:
-            cache[docid] = normalize(strip_html(self.docstore[docid]), self.config)
-        return cache[docid]
+        return normalize(strip_html(self.docstore[docid]), self.config)
 
     def validate(self):
         seen = set()
@@ -435,13 +422,19 @@ def _bag_to_json(bag: TermBag):
     return {t: bag.counts[t] for t in sorted(bag.counts)}
 
 
+# A count above 2**53 has no exact float, and far larger ones overflow
+# the float sums of lengths and scores.
+_MAX_COUNT = 2 ** 53
+
+
 def _bag_from_json(counts) -> TermBag:
     """The TermBag of a canonical JSON bag; TypeError unless every count
-    is an integer (not a boolean) of at least 1. Checked in C-level
+    is an integer (not a boolean) from 1 to 2**53. Checked in C-level
     passes: loading a corpus makes one bag per query and per snippet."""
     values = counts.values()
-    if values and (set(map(type, values)) != {int} or min(values) < 1):
-        raise TypeError("term counts must be integers of at least 1")
+    if values and (set(map(type, values)) != {int}
+                   or min(values) < 1 or max(values) > _MAX_COUNT):
+        raise TypeError("term counts must be integers from 1 to 2**53")
     bag = TermBag()
     bag.counts = counts
     return bag

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .actions import EmptyInputError
 from .report import ReportTable
-from .sources import DROP, SourceKind, extract_source
+from .sources import DROP, SourceIndex, clicked_mask
 from .stattests import pairwise_mean
 
 QUERY_TERM = "query-term"
@@ -65,29 +65,31 @@ def assign_scenarios(pairs, corpus, docstore_policy: str = DROP):
     term sets. Pairs whose later query is a test query are rejected.
     With policy `drop`, pairs missing clicked-document text are skipped;
     with `empty`, clicked-document membership is false and flagged.
+    Only clicked documents are normalized, each once per call.
     """
+    index = SourceIndex(corpus)
     records = []
     for pair in pairs:
         if pair.involves_test_query:
             raise ValueError("scenario assignment requires pairs without test queries")
         imp = pair.before
+        mask = clicked_mask(imp)
         ncs_terms = set()
         cs_terms = set()
-        for bag in extract_source(imp, SourceKind.NON_CLICKED_SNIPPETS, corpus).instances:
-            ncs_terms |= bag.terms
-        for bag in extract_source(imp, SourceKind.CLICKED_SNIPPETS, corpus).instances:
-            cs_terms |= bag.terms
+        for r, clicked in zip(imp.results, mask):
+            (cs_terms if clicked else ncs_terms).update(r.terms.counts)
         cd_terms = set()
         cd_available = True
-        if imp.clicked_ranks:
+        if imp.clicks:
             if corpus.docstore:
-                view = extract_source(imp, SourceKind.CLICKED_DOCUMENTS, corpus)
-                if not view.complete:
+                docs = [index.doc_bag(r.docid) for r, clicked in zip(imp.results, mask) if clicked]
+                if None in docs:
                     if docstore_policy == DROP:
                         continue
                     cd_available = False
-                for bag in view.instances:
-                    cd_terms |= bag.terms
+                for bag in docs:
+                    if bag is not None:
+                        cd_terms.update(bag.counts)
             else:
                 # no docstore at all: snippet-only run, cd bit unavailable
                 cd_available = False

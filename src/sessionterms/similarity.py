@@ -8,6 +8,11 @@ query against many bags, build its `QuerySide` once and a `BagSide` per
 bag; a bag's norm is computed on first use, and only a bag that shares
 a term with the query needs it. The functions go through the same
 helpers, in the same float operations and order.
+
+`build_stats` reads a source kind's instances from a
+`sources.SourceIndex`, so each impression and document bag is built
+once per index. The historical statistics come from one pass over each
+session's impression bags, with no historical bag built.
 """
 
 from __future__ import annotations
@@ -23,26 +28,12 @@ from .textnorm import TermBag
 
 
 class SourceKind(Enum):
+    """The term sources that collection statistics are built for."""
+
     ALL_SNIPPETS = "all_snippets"
-    CLICKED_SNIPPETS = "clicked_snippets"
-    NON_CLICKED_SNIPPETS = "non_clicked_snippets"
     ALL_DOCUMENTS = "all_documents"
-    CLICKED_DOCUMENTS = "clicked_documents"
-    NON_CLICKED_DOCUMENTS = "non_clicked_documents"
     IMPRESSION = "impression"
     HISTORICAL = "historical"
-
-
-SNIPPET_KINDS = {
-    SourceKind.ALL_SNIPPETS,
-    SourceKind.CLICKED_SNIPPETS,
-    SourceKind.NON_CLICKED_SNIPPETS,
-}
-DOCUMENT_KINDS = {
-    SourceKind.ALL_DOCUMENTS,
-    SourceKind.CLICKED_DOCUMENTS,
-    SourceKind.NON_CLICKED_DOCUMENTS,
-}
 
 
 class MissingDocstoreError(Exception):
@@ -101,20 +92,50 @@ class CollectionStats:
         return math.log(1.0 + (self.N - df + 0.5) / (df + 0.5))
 
 
-def build_stats(corpus, kind: SourceKind) -> CollectionStats:
-    """Collection statistics over every instance of a source kind.
+def build_stats(index, kind: SourceKind) -> CollectionStats:
+    """Collection statistics over every instance of a source kind in a
+    `sources.SourceIndex`: one "document" per snippet, per listed
+    document with text, per non-test query's impression bag, or per
+    historical bag (the impression bags of a session's non-test queries
+    up to and including one of them). Build it once per index and treat
+    it as read-only."""
+    if kind is SourceKind.HISTORICAL:
+        return _historical_stats(index)
+    sessions = index.corpus.sessions
+    if kind is SourceKind.ALL_SNIPPETS:
+        bags = (r.terms for s in sessions for imp in s.impressions for r in imp.results)
+    elif kind is SourceKind.ALL_DOCUMENTS:
+        if not index.corpus.docstore:
+            raise MissingDocstoreError(f"{kind.value} requires an attached docstore")
+        docs = (index.doc_bag(r.docid)
+                for s in sessions for imp in s.impressions for r in imp.results)
+        bags = (bag for bag in docs if bag is not None)
+    else:
+        bags = (bag for s in sessions for bag, _ in index.impressions(s).values())
+    return CollectionStats.from_bags(bags, kind)
 
-    One "document" per term-source instance across the corpus (each
-    snippet, each document, each impression, each historical prefix).
-    Memoized per corpus and kind, so every analysis of one corpus shares
-    one stats object per kind; treat it as read-only.
-    """
-    from .sources import iter_source_instances  # deferred to avoid a cycle
 
-    cache = corpus.__dict__.setdefault("_stats_cache", {})
-    if kind not in cache:
-        cache[kind] = CollectionStats.from_bags(iter_source_instances(corpus, kind), kind)
-    return cache[kind]
+def _historical_stats(index) -> CollectionStats:
+    """`build_stats` of the historical kind without building a historical
+    bag. Within a session of k non-test queries, a term first seen in the
+    i-th one (from 0) is in the k - i historical bags from there on, and
+    the bags' token counts are the running sums of the impression bags'."""
+    df = {}
+    n = total_len = 0
+    for session in index.corpus.sessions:
+        bags = [bag for bag, _ in index.impressions(session).values()]
+        first = {}  # term -> its df within the session
+        for weight, bag in enumerate(reversed(bags), start=1):
+            first.update(dict.fromkeys(bag.counts, weight))  # an earlier bag overwrites
+        for term, weight in first.items():
+            df[term] = df.get(term, 0) + weight
+        running = 0
+        for bag in bags:
+            running += bag.length
+            total_len += running
+        n += len(bags)
+    return CollectionStats(kind=SourceKind.HISTORICAL, N=n, df=df,
+                           avgdl=total_len / n if n else 0.0)
 
 
 def _jaccard(common, size_a, size_b):

@@ -2,23 +2,23 @@
 added terms: rank-prefix analysis, last-click windows, source comparison
 with significance marks, historical terms and dwell-time thresholds.
 
-`score_pairs` scores each pair once against every source; the four
-tables only aggregate those scores and apply the docstore policy. Within
-`score_pairs` the added terms' side of the measures is computed once per
-pair and source kind, a document's side once per distinct docid, and
-impression and historical bags once per session.
+A `SourceIndex` holds the term sources of one corpus, each built once on
+first use: a document's bag per docid, and per session the impression
+bag of each non-test query. `score_pairs` scores each pair once against
+every source; the four tables only aggregate those scores and apply the
+docstore policy. Within `score_pairs` the added terms' side of the
+measures is computed once per pair and source kind, a document's side
+once per distinct docid, and historical bags once per session.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import accumulate
 
 from .actions import EmptyInputError, QueryPair
 from .report import ReportTable
 from .similarity import (
-    DOCUMENT_KINDS,
-    SNIPPET_KINDS,
     BagSide,
     MissingDocstoreError,
     QuerySide,
@@ -34,17 +34,6 @@ EMPTY = "empty"
 DEFAULT_DWELL_THRESHOLDS = tuple(range(0, 61, 5))
 
 
-@dataclass
-class TermSourceView:
-    kind: SourceKind
-    instances: list  # TermBag per snippet/document (or one merged bag)
-    missing_docids: list
-
-    @property
-    def complete(self):
-        return not self.missing_docids
-
-
 def last_click_rank(impression):
     """Largest clicked rank, or None when the impression has no clicks."""
     if not impression.clicks:
@@ -52,95 +41,46 @@ def last_click_rank(impression):
     return max(c.rank for c in impression.clicks)
 
 
-def _doc_bags(corpus, docids):
-    bags, missing = [], []
-    for docid in docids:
-        bag = corpus.doc_terms(docid)
-        if bag is None:
-            missing.append(docid)
-        else:
-            bags.append(bag)
-    return bags, missing
-
-
-def extract_source(impression, kind: SourceKind, corpus) -> TermSourceView:
-    """Term-source instances of one impression.
-
-    Snippets are partitioned by whether any click references their rank;
-    documents are selected by the same criterion. The impression kind is
-    one merged bag of all snippets plus clicked documents (no query).
-    """
+def clicked_mask(impression):
+    """Whether any click references each result's rank, in rank order."""
     clicked = impression.clicked_ranks
-    if kind is SourceKind.ALL_SNIPPETS:
-        return TermSourceView(kind, [r.terms for r in impression.results], [])
-    if kind is SourceKind.CLICKED_SNIPPETS:
-        return TermSourceView(
-            kind, [r.terms for r in impression.results if r.rank in clicked], []
-        )
-    if kind is SourceKind.NON_CLICKED_SNIPPETS:
-        return TermSourceView(
-            kind, [r.terms for r in impression.results if r.rank not in clicked], []
-        )
-    if kind in DOCUMENT_KINDS:
-        if not corpus.docstore:
-            raise MissingDocstoreError(f"{kind.value} requires an attached docstore")
-        if kind is SourceKind.ALL_DOCUMENTS:
-            docids = [r.docid for r in impression.results]
-        elif kind is SourceKind.CLICKED_DOCUMENTS:
-            docids = [r.docid for r in impression.results if r.rank in clicked]
-        else:
-            docids = [r.docid for r in impression.results if r.rank not in clicked]
-        bags, missing = _doc_bags(corpus, docids)
-        return TermSourceView(kind, bags, missing)
-    if kind is SourceKind.IMPRESSION:
-        bags = [r.terms for r in impression.results]
-        missing = []
-        if corpus.docstore:
-            clicked_docids = [r.docid for r in impression.results if r.rank in clicked]
-            doc_bags, missing = _doc_bags(corpus, clicked_docids)
-            bags += doc_bags
-        elif clicked:
-            missing = [r.docid for r in impression.results if r.rank in clicked]
-        return TermSourceView(kind, [TermBag.union(bags)], missing)
-    raise ValueError(f"extract_source does not handle {kind}; see historical_terms")
+    return [r.rank in clicked for r in impression.results]
 
 
-def _historical_prefixes(corpus, session):
-    """Yield (impression-kind view, historical bag through it) for each
-    impression of a session in order: prefix n is prefix n-1 plus
-    impression n's bag. A test query has no view and adds nothing."""
-    merged = TermBag()
-    for imp in session.impressions:
-        view = None
-        if not imp.is_test_query:
-            view = extract_source(imp, SourceKind.IMPRESSION, corpus)
-            merged = merged.add(view.instances[0])
-        yield view, merged
+class SourceIndex:
+    """The term sources of a corpus, each built once on first use:
 
+    - `doc_bag`: a document's normalized bag, or None without its text;
+    - `impressions`: per session, the impression bag of each non-test
+      query (all its snippets plus its clicked documents with text) and
+      whether every clicked document has text.
 
-def historical_terms(corpus, session, n: int) -> TermBag:
-    """Count-summed union of impression-kind bags for positions 1..n."""
-    merged = TermBag()
-    for _, merged in islice(_historical_prefixes(corpus, session), n):
-        pass
-    return merged
+    The corpus must not change while the index is in use."""
 
+    def __init__(self, corpus):
+        self.corpus = corpus
+        self._docs = {}
+        self._sessions = {}
 
-def iter_source_instances(corpus, kind: SourceKind):
-    """All instances of a source kind across the corpus (for stats)."""
-    if kind is SourceKind.HISTORICAL:
-        for session in corpus.sessions:
-            for view, merged in _historical_prefixes(corpus, session):
-                if view is not None:
-                    yield merged
-        return
-    if kind in DOCUMENT_KINDS and not corpus.docstore:
-        raise MissingDocstoreError(f"{kind.value} requires an attached docstore")
-    for session in corpus.sessions:
-        for imp in session.impressions:
-            if imp.is_test_query:
-                continue
-            yield from extract_source(imp, kind, corpus).instances
+    def doc_bag(self, docid) -> TermBag | None:
+        if docid not in self._docs:
+            self._docs[docid] = self.corpus.doc_terms(docid)
+        return self._docs[docid]
+
+    def impressions(self, session) -> dict:
+        """{position: (impression bag, complete)} of a session's non-test
+        queries, in position order."""
+        if session.id not in self._sessions:
+            entries = {}
+            for imp in session.impressions:
+                if imp.is_test_query:
+                    continue
+                docs = [self.doc_bag(r.docid)
+                        for r, clicked in zip(imp.results, clicked_mask(imp)) if clicked]
+                bags = [r.terms for r in imp.results] + [d for d in docs if d is not None]
+                entries[imp.position] = (TermBag.union(bags), None not in docs)
+            self._sessions[session.id] = entries
+        return self._sessions[session.id]
 
 
 def _added_bag(pair) -> TermBag:
@@ -177,22 +117,24 @@ def score_pairs(pairs, corpus, k1: float = 1.2, b: float = 0.75) -> list:
     """A ScoredPair for each pair whose earlier query has results, in
     pair order, for every table of `analyze sources` to share. Each
     source is scored against the collection statistics of its kind
-    (snippets against all snippets, documents against all documents).
+    (snippets against all snippets, documents against all documents),
+    all read from one `SourceIndex` of the corpus.
 
     Each factor is computed once, at the level it depends on: the added
     terms' bag per pair, and their side of every measure per pair and
     source kind (`_similarities`); a document's `BagSide`, with its token
-    count and tf-idf norm, per distinct docid in this call; impression and
-    historical bags per session; Jaccard and the rest per bag. A bag's
-    norm is computed only when the bag shares an added term."""
-    snippet_stats = build_stats(corpus, SourceKind.ALL_SNIPPETS)
+    count and tf-idf norm, per distinct docid in this call; historical
+    bags per session; Jaccard and the rest per bag. A bag's norm is
+    computed only when the bag shares an added term."""
+    index = SourceIndex(corpus)
+    snippet_stats = build_stats(index, SourceKind.ALL_SNIPPETS)
     if corpus.docstore:
         doc_stats, impression_stats, historical_stats = (
-            build_stats(corpus, kind) for kind in
+            build_stats(index, kind) for kind in
             (SourceKind.ALL_DOCUMENTS, SourceKind.IMPRESSION, SourceKind.HISTORICAL))
     doc_sides = {}  # docid -> BagSide under doc_stats, None for a missing text
     scored = []
-    session, session_bags = None, None
+    session = None
     for pair in pairs:
         imp = pair.before
         if not imp.results:
@@ -206,20 +148,23 @@ def score_pairs(pairs, corpus, k1: float = 1.2, b: float = 0.75) -> list:
         sides = []
         for r in imp.results:
             if r.docid not in doc_sides:
-                bag = corpus.doc_terms(r.docid)
+                bag = index.doc_bag(r.docid)
                 doc_sides[r.docid] = None if bag is None else BagSide(bag, doc_stats)
             sides.append(doc_sides[r.docid])
         documents = _similarities(added, sides, doc_stats, k1, b)
         if pair.session is not session:
+            # The historical bag of a position: the impression bags of
+            # the session's non-test queries up to it, summed in order.
             session = pair.session
-            session_bags = list(_historical_prefixes(corpus, session))
-        view, historical = session_bags[pair.position - 1]
-        [impression] = _similarities(added, [BagSide(view.instances[0], impression_stats)],
+            impressions = index.impressions(session)
+            historical = dict(zip(impressions, accumulate(
+                (bag for bag, _ in impressions.values()), TermBag.add)))
+        bag, complete = impressions[pair.position]
+        [impression] = _similarities(added, [BagSide(bag, impression_stats)],
                                      impression_stats, k1, b)
-        [historical] = _similarities(added, [BagSide(historical, historical_stats)],
-                                     historical_stats, k1, b)
-        scored.append(ScoredPair(pair, snippets, documents, impression, view.complete,
-                                 historical))
+        [history] = _similarities(added, [BagSide(historical[pair.position], historical_stats)],
+                                  historical_stats, k1, b)
+        scored.append(ScoredPair(pair, snippets, documents, impression, complete, history))
     return scored
 
 
@@ -272,16 +217,10 @@ def last_click_similarity(scored) -> ReportTable:
     )
 
 
-SOURCE_ROWS = [
-    ("s(M)", SourceKind.ALL_SNIPPETS),
-    ("cs", SourceKind.CLICKED_SNIPPETS),
-    ("ncs", SourceKind.NON_CLICKED_SNIPPETS),
-    ("ad", SourceKind.ALL_DOCUMENTS),
-    ("cd", SourceKind.CLICKED_DOCUMENTS),
-    ("ncd", SourceKind.NON_CLICKED_DOCUMENTS),
-    ("impression", SourceKind.IMPRESSION),
-    ("historical", SourceKind.HISTORICAL),
-]
+# Report rows of `source_comparison`; only the snippet rows need no
+# docstore.
+SNIPPET_ROWS = ["s(M)", "cs", "ncs"]
+SOURCE_ROWS = [*SNIPPET_ROWS, "ad", "cd", "ncd", "impression", "historical"]
 
 # Bold marks on Table-6-style rows: clicked variant versus the
 # non-clicked and "all" variants of the same source.
@@ -298,20 +237,18 @@ def source_comparison(scored, docstore_policy: str = DROP,
     snippet and document scores. Under the drop policy a pair counts in a
     row only when all of that row's documents have text."""
     has_docs = any(s.documents is not None for s in scored)
-    rows = [(label, kind) for label, kind in SOURCE_ROWS if has_docs or kind in SNIPPET_KINDS]
+    rows = SOURCE_ROWS if has_docs else SNIPPET_ROWS
     drop_incomplete = docstore_policy != EMPTY
 
     # per row label: list of per-pair mean (terms, jaccard, cosine, bm25)
-    samples = {label: [] for label, _ in rows}
+    samples = {label: [] for label in rows}
 
     def add_sample(label, scores):
         if scores:
             samples[label].append(column_means(scores))
 
     for s in scored:
-        imp = s.pair.before
-        clicked_ranks = imp.clicked_ranks
-        clicked = [r.rank in clicked_ranks for r in imp.results]
+        clicked = clicked_mask(s.pair.before)
         add_sample("s(M)", s.snippets)
         add_sample("cs", [row for row, c in zip(s.snippets, clicked) if c])
         add_sample("ncs", [row for row, c in zip(s.snippets, clicked) if not c])
@@ -334,7 +271,7 @@ def source_comparison(scored, docstore_policy: str = DROP,
         )
     # per row label: the per-pair means of each column
     by_column = {}
-    for label, _ in rows:
+    for label in rows:
         if not samples[label]:
             continue
         by_column[label] = list(zip(*samples[label]))

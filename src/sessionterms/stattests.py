@@ -92,14 +92,21 @@ def _welch(sample_a, sample_b):
         return None, None, 0
     mean1 = sum(a) / n1
     mean2 = sum(b) / n2
-    var1 = sum((x - mean1) ** 2 for x in a) / (n1 - 1)
-    var2 = sum((x - mean2) ** 2 for x in b) / (n2 - 1)
+    try:
+        var1 = sum((x - mean1) ** 2 for x in a) / (n1 - 1)
+        var2 = sum((x - mean2) ** 2 for x in b) / (n2 - 1)
+        df_denominator = (var1 / n1) ** 2 / (n1 - 1) + (var2 / n2) ** 2 / (n2 - 1)
+    except OverflowError:
+        # A square leaves the float range. As in the underflow case
+        # below, t and df do not change when both samples are scaled by
+        # a power of two; 2**-512 lowers the exponent of every square by
+        # 1024, so this recurses at most twice.
+        return _welch([math.ldexp(x, -512) for x in a], [math.ldexp(x, -512) for x in b])
     if var1 == 0.0 and var2 == 0.0:
         if mean1 == mean2:
             return 0.0, 0.0, n1 + n2
         return None, None, n1 + n2
     se2 = var1 / n1 + var2 / n2
-    df_denominator = (var1 / n1) ** 2 / (n1 - 1) + (var2 / n2) ** 2 / (n2 - 1)
     if df_denominator == 0.0:
         # The squared variances (and perhaps se2) underflow to 0. t and df
         # do not change when both samples are scaled by one factor, and a

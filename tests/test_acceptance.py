@@ -26,8 +26,8 @@ from sessionterms.scenarios import (
     scenario_index,
     scenario_membership,
 )
-from sessionterms.similarity import SourceKind, cosine_tf, jaccard
-from sessionterms.sources import extract_source, score_pairs, source_comparison
+from sessionterms.similarity import cosine_tf, jaccard
+from sessionterms.sources import SourceIndex, clicked_mask, score_pairs, source_comparison
 from sessionterms.stattests import welch_t, wilcoxon_signed_rank
 from sessionterms.synthgen import GeneratorSpec, expected_statistics, generate
 from sessionterms.textnorm import NormalizationConfig, TermBag, normalize
@@ -340,23 +340,32 @@ def test_criterion_8_randomized_invariants(report):
         cases += 1
         bits = (rng.random() < 0.5, rng.random() < 0.5, rng.random() < 0.5)
         ok &= scenario_membership(scenario_index(*bits)) == bits
-    # source partition over generated impressions
+    # source partition over generated impressions: the clicked mask
+    # splits the snippets into clicked and non-clicked ones, and the
+    # impression bag holds every snippet and every clicked document
     corpus = generate(GeneratorSpec(seed=90, sessions=120, session_length=5,
                                     click_prob=0.5))
+    index = SourceIndex(corpus)
     for session in corpus.sessions:
+        impressions = index.impressions(session)
         for imp in session.impressions:
             cases += 1
-            clicked = extract_source(imp, SourceKind.CLICKED_SNIPPETS, corpus)
-            non = extract_source(imp, SourceKind.NON_CLICKED_SNIPPETS, corpus)
-            everything = extract_source(imp, SourceKind.ALL_SNIPPETS, corpus)
-            ok &= len(clicked.instances) + len(non.instances) == len(everything.instances)
+            mask = clicked_mask(imp)
+            clicked = [r for r, c in zip(imp.results, mask) if c]
+            non = [r for r, c in zip(imp.results, mask) if not c]
+            ok &= len(clicked) + len(non) == len(imp.results)
+            ok &= {r.rank for r in clicked} == {c.rank for c in imp.clicks}
             merged = TermBag()
-            for bag in clicked.instances + non.instances:
-                merged = merged.add(bag)
+            for r in clicked + non:
+                merged = merged.add(r.terms)
             full = TermBag()
-            for bag in everything.instances:
-                full = full.add(bag)
+            for r in imp.results:
+                full = full.add(r.terms)
             ok &= merged == full
+            if not imp.is_test_query:
+                for r in clicked:
+                    full = full.add(corpus.doc_terms(r.docid))
+                ok &= impressions[imp.position] == (full, True)
     # metric delta antisymmetry: swapping the two rankings negates each delta
     for _ in range(3000):
         cases += 1

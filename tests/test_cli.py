@@ -455,6 +455,7 @@ EXIT_2_CASES = {
     "canonical-json-snippet-count-zero": _canonical_json(_bag_count("terms", 0)),
     "canonical-json-snippet-count-negative": _canonical_json(_bag_count("terms", -1)),
     "canonical-json-snippet-count-true": _canonical_json(_bag_count("terms", True)),
+    "canonical-json-snippet-count-huge": _canonical_json(_bag_count("terms", 10 ** 400)),
     "missing-corpus-file": lambda workspace: [
         "analyze", "pairs", "--corpus", str(workspace / "missing.json"),
         "--out-dir", str(workspace / "reports"),

@@ -2,7 +2,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -10,10 +10,10 @@ import pytest
 from sessionterms import similarity, sources
 from sessionterms.actions import extract_pairs
 from sessionterms.cli import main
-from sessionterms.corpus import to_canonical_json
+from sessionterms.corpus import Corpus, RelevanceJudgments, to_canonical_json
+from sessionterms.ireval import score_impressions
+from sessionterms.scenarios import assign_scenarios
 from sessionterms.similarity import (
-    DOCUMENT_KINDS,
-    SNIPPET_KINDS,
     CollectionStats,
     MissingDocstoreError,
     SourceKind,
@@ -24,12 +24,12 @@ from sessionterms.similarity import (
 )
 from sessionterms.sources import (
     EMPTY,
+    SNIPPET_ROWS,
     SOURCE_ROWS,
+    SourceIndex,
     _added_bag,
-    _historical_prefixes,
+    clicked_mask,
     dwell_threshold_curve,
-    extract_source,
-    historical_terms,
     last_click_rank,
     last_click_similarity,
     rank_prefix_similarity,
@@ -67,34 +67,37 @@ def planted_corpus(plain_config):
 
 
 class TestExtractSource:
+    """The term sources of one impression: its clicked mask, and its
+    documents and impression bag in a `SourceIndex`."""
+
     def test_snippet_partition(self, planted_corpus):
         imp = planted_corpus.sessions[0].impressions[0]
-        all_s = extract_source(imp, SourceKind.ALL_SNIPPETS, planted_corpus)
-        clicked = extract_source(imp, SourceKind.CLICKED_SNIPPETS, planted_corpus)
-        non = extract_source(imp, SourceKind.NON_CLICKED_SNIPPETS, planted_corpus)
-        assert len(all_s.instances) == 3
-        assert len(clicked.instances) == 1
-        assert len(non.instances) == 2
+        mask = clicked_mask(imp)
+        clicked = [r.terms for r, c in zip(imp.results, mask) if c]
+        non = [r.terms for r, c in zip(imp.results, mask) if not c]
+        assert len(mask) == 3
+        assert len(clicked) == 1
+        assert len(non) == 2
         # clicked + non-clicked partition the full snippet list
-        merged = sorted(b.counts.items() for b in clicked.instances + non.instances)
-        assert merged == sorted(b.counts.items() for b in all_s.instances)
+        merged = sorted(b.counts.items() for b in clicked + non)
+        assert merged == sorted(r.terms.counts.items() for r in imp.results)
 
     def test_planted_membership(self, planted_corpus):
         imp = planted_corpus.sessions[0].impressions[0]
-        clicked = extract_source(imp, SourceKind.CLICKED_SNIPPETS, planted_corpus)
-        non = extract_source(imp, SourceKind.NON_CLICKED_SNIPPETS, planted_corpus)
-        cd = extract_source(imp, SourceKind.CLICKED_DOCUMENTS, planted_corpus)
-        ncd = extract_source(imp, SourceKind.NON_CLICKED_DOCUMENTS, planted_corpus)
-        assert any("add1" in b.terms for b in clicked.instances)
-        assert all("add1" not in b.terms for b in non.instances)
-        assert any("add1" in b.terms for b in cd.instances)
-        assert all("add1" not in b.terms for b in ncd.instances)
+        index = SourceIndex(planted_corpus)
+        mask = clicked_mask(imp)
+        clicked = [r for r, c in zip(imp.results, mask) if c]
+        non = [r for r, c in zip(imp.results, mask) if not c]
+        assert any("add1" in r.terms for r in clicked)
+        assert all("add1" not in r.terms for r in non)
+        assert any("add1" in index.doc_bag(r.docid) for r in clicked)
+        assert all("add1" not in index.doc_bag(r.docid) for r in non)
 
     def test_document_kinds_require_docstore(self, plain_config):
         imp = make_impression(1, "q", plain_config, snippets=["s"], clicks=[(1, 0, 5)])
         corpus = make_corpus([("x", None, [imp])], plain_config)
         with pytest.raises(MissingDocstoreError):
-            extract_source(imp, SourceKind.CLICKED_DOCUMENTS, corpus)
+            build_stats(SourceIndex(corpus), SourceKind.ALL_DOCUMENTS)
 
     def test_missing_document_recorded(self, planted_corpus, plain_config):
         imp = planted_corpus.sessions[0].impressions[0]
@@ -103,15 +106,18 @@ class TestExtractSource:
             plain_config,
             docstore={"doc-1-2": "dx1"},
         )
-        view = extract_source(imp, SourceKind.CLICKED_DOCUMENTS, partial)
-        assert not view.complete
-        assert view.missing_docids == ["doc-1-1"]
+        index = SourceIndex(partial)
+        _, complete = index.impressions(partial.sessions[0])[imp.position]
+        assert not complete
+        missing = [r.docid for r, c in zip(imp.results, clicked_mask(imp))
+                   if c and index.doc_bag(r.docid) is None]
+        assert missing == ["doc-1-1"]
 
     def test_impression_kind_merges_snippets_and_clicked_docs(self, planted_corpus):
-        imp = planted_corpus.sessions[0].impressions[0]
-        view = extract_source(imp, SourceKind.IMPRESSION, planted_corpus)
-        assert len(view.instances) == 1
-        merged = view.instances[0]
+        session = planted_corpus.sessions[0]
+        imp = session.impressions[0]
+        merged, complete = SourceIndex(planted_corpus).impressions(session)[imp.position]
+        assert complete
         expected = TermBag()
         for r in imp.results:
             expected = expected.add(r.terms)
@@ -120,19 +126,27 @@ class TestExtractSource:
 
 
 class TestHistorical:
+    """The historical bags, seen through their collection statistics: a
+    term's df is the number of historical bags that hold it, and avgdl
+    their mean token count."""
+
     def test_prefix_monotone(self, planted_corpus):
         session = planted_corpus.sessions[0]
-        h1 = historical_terms(planted_corpus, session, 1)
-        h2 = historical_terms(planted_corpus, session, 2)
-        assert h1.terms <= h2.terms
-        assert "z7" in h2.terms and "z7" not in h1.terms
+        index = SourceIndex(planted_corpus)
+        first, _ = index.impressions(session)[1]
+        stats = build_stats(index, SourceKind.HISTORICAL)
+        assert stats.N == 2
+        # every term of the first bag is in both bags; z7 only in the second
+        assert {stats.df[t] for t in first.counts} == {2}
+        assert "z7" not in first and stats.df["z7"] == 1
 
     def test_counts_are_summed(self, plain_config):
         imp1 = make_impression(1, "q", plain_config, snippets=["w w"])
         imp2 = make_impression(2, "q", plain_config, snippets=["w"])
         corpus = make_corpus([("x", None, [imp1, imp2])], plain_config)
-        h = historical_terms(corpus, corpus.sessions[0], 2)
-        assert h.counts["w"] == 3
+        stats = build_stats(SourceIndex(corpus), SourceKind.HISTORICAL)
+        # the bags hold 2 and 2 + 1 tokens
+        assert (stats.N, stats.df, stats.avgdl) == (2, {"w": 2}, 2.5)
 
 
 def synth_corpus(session_length=5, sessions=6):
@@ -156,13 +170,29 @@ def definition_rows(pair, bags, stats):
             for bag in bags]
 
 
+def impression_bag(corpus, imp):
+    """The impression bag by its definition: every snippet, then every
+    clicked document with text, chained with `add`; and whether every
+    clicked document has text."""
+    merged, complete = TermBag(), True
+    for r in imp.results:
+        merged = merged.add(r.terms)
+    for r in imp.results:
+        doc = corpus.doc_terms(r.docid) if r.rank in imp.clicked_ranks else TermBag()
+        if doc is None:
+            complete = False
+        else:
+            merged = merged.add(doc)
+    return merged, complete
+
+
 def chained_historical(corpus, session, n):
     """The historical bag by its definition: the impression bags of the
     non-test queries at positions 1..n, chained with `add`."""
     merged = TermBag()
     for imp in session.impressions[:n]:
         if not imp.is_test_query:
-            merged = merged.add(extract_source(imp, SourceKind.IMPRESSION, corpus).instances[0])
+            merged = merged.add(impression_bag(corpus, imp)[0])
     return merged
 
 
@@ -195,7 +225,8 @@ class TestScoresEqualTheOracles:
             pairs = extract_pairs(corpus)
             scored = score_pairs(pairs, corpus, k1, b)
             assert len(scored) == sum(1 for p in pairs if p.before.results)
-            stats = {kind: build_stats(corpus, kind) for kind in (
+            index = SourceIndex(corpus)
+            stats = {kind: build_stats(index, kind) for kind in (
                 SourceKind.ALL_SNIPPETS, SourceKind.ALL_DOCUMENTS, SourceKind.IMPRESSION,
                 SourceKind.HISTORICAL)}
             for s in scored:
@@ -207,10 +238,9 @@ class TestScoresEqualTheOracles:
                     None if bag is None
                     else oracle_row(added, bag, stats[SourceKind.ALL_DOCUMENTS], k1, b)
                     for bag in bags]
-                view = extract_source(imp, SourceKind.IMPRESSION, corpus)
-                assert s.impression == oracle_row(added, view.instances[0],
-                                                  stats[SourceKind.IMPRESSION], k1, b)
-                assert s.impression_complete == view.complete
+                bag, complete = impression_bag(corpus, imp)
+                assert s.impression == oracle_row(added, bag, stats[SourceKind.IMPRESSION], k1, b)
+                assert s.impression_complete == complete
                 historical = chained_historical(corpus, s.pair.session, s.pair.position)
                 assert s.historical == oracle_row(added, historical,
                                                   stats[SourceKind.HISTORICAL], k1, b)
@@ -229,14 +259,18 @@ class TestScoresEqualTheOracles:
         call, and only for a document that shares an added term with a
         pair whose earlier impression lists it."""
         corpus = shared_docs_corpus
-        docid_of = {id(corpus.doc_terms(d).counts): d for d in corpus.docstore}
-        doc_stats = build_stats(corpus, SourceKind.ALL_DOCUMENTS)
+        # each non-empty document's counts, told apart from an empty
+        # added-term bag
+        docid_of = {tuple(corpus.doc_terms(d).counts.items()): d for d in corpus.docstore
+                    if corpus.doc_terms(d).counts}
+        assert len(docid_of) == len(corpus.docstore) - 1
         computed = Counter()
         weights = similarity._tfidf_weights
 
         def counting(counts, stats):
-            if stats is doc_stats and id(counts) in docid_of:
-                computed[docid_of[id(counts)]] += 1
+            docid = docid_of.get(tuple(counts.items()))
+            if stats.kind is SourceKind.ALL_DOCUMENTS and docid is not None:
+                computed[docid] += 1
             return weights(counts, stats)
 
         monkeypatch.setattr(similarity, "_tfidf_weights", counting)
@@ -251,39 +285,113 @@ class TestScoresEqualTheOracles:
             assert computed == Counter(needed)
 
 
+# Clicked state of the results each snippet or document row holds;
+# None for every result.
+ROW_CLICKED = {"s(M)": None, "cs": True, "ncs": False, "ad": None, "cd": True, "ncd": False}
+
+
+def row_instances(corpus, pair, label):
+    """(instances, whether every document has text, stats kind) of a
+    `source_comparison` row for a pair, by its definition."""
+    imp = pair.before
+    if label == "historical":
+        return [chained_historical(corpus, pair.session, pair.position)], True, \
+            SourceKind.HISTORICAL
+    if label == "impression":
+        bag, complete = impression_bag(corpus, imp)
+        return [bag], complete, SourceKind.IMPRESSION
+    want = ROW_CLICKED[label]
+    chosen = [r for r in imp.results if want is None or (r.rank in imp.clicked_ranks) is want]
+    if label in SNIPPET_ROWS:
+        return [r.terms for r in chosen], True, SourceKind.ALL_SNIPPETS
+    docs = [corpus.doc_terms(r.docid) for r in chosen]
+    return ([d for d in docs if d is not None], all(d is not None for d in docs),
+            SourceKind.ALL_DOCUMENTS)
+
+
+@pytest.fixture
+def historical_corpus(plain_config):
+    """Test queries at the end and in the middle of a session, a term
+    that leaves and comes back, an empty snippet and an empty clicked
+    document."""
+    x = [
+        make_impression(1, "a", plain_config, snippets=["x y", ""], docids=["e", "f"],
+                        clicks=[(1, 0, 5)]),
+        make_impression(2, "a b", plain_config, snippets=["z z"], docids=["f"]),
+        make_impression(3, "a b c", plain_config),
+        make_impression(4, "b", plain_config, snippets=["x w"], docids=["g"],
+                        clicks=[(1, 0, 5)]),
+        make_impression(5, "b d", plain_config),
+    ]
+    y = [make_impression(1, "q", plain_config, snippets=["y"], docids=["g"]),
+         make_impression(2, "q r", plain_config)]
+    docstore = {"e": "", "f": "y v", "g": "x x"}
+    return make_corpus([("X", None, x), ("Y", None, y)], plain_config, docstore=docstore)
+
+
+def definitional_historical_stats(corpus):
+    """Collection statistics of every historical bag, built by definition."""
+    return CollectionStats.from_bags(
+        [chained_historical(corpus, session, imp.position)
+         for session in corpus.sessions for imp in session.impressions
+         if not imp.is_test_query],
+        SourceKind.HISTORICAL,
+    )
+
+
 class TestSharedSourceWork:
     def test_prefixes_match_definition_at_every_position(self):
+        """The index holds each non-test query's impression bag, with the
+        definition's counts in the same term order, so float sums agree.
+        `test_every_row_equals_the_oracle` checks the historical rows
+        `score_pairs` sums from them at every pair position."""
         corpus = synth_corpus()
         assert any(s.has_test_query for s in corpus.sessions)
+        index = SourceIndex(corpus)
         for session in corpus.sessions:
-            prefixes = [merged for _, merged in _historical_prefixes(corpus, session)]
-            assert len(prefixes) == len(session.impressions)
-            for n, merged in enumerate(prefixes, start=1):
-                expected = chained_historical(corpus, session, n)
-                # same counts in the same term order, so float sums agree
-                assert list(merged.counts.items()) == list(expected.counts.items())
-                assert historical_terms(corpus, session, n) == merged
+            bags = index.impressions(session)
+            assert list(bags) == [imp.position for imp in session.impressions
+                                  if not imp.is_test_query]
+            for position, (bag, complete) in bags.items():
+                expected, expected_complete = impression_bag(
+                    corpus, session.impressions[position - 1])
+                assert list(bag.counts.items()) == list(expected.counts.items())
+                assert complete == expected_complete
 
     def test_historical_stats_match_stats_of_historical_terms(self):
         corpus = synth_corpus()
-        direct = CollectionStats.from_bags(
-            [historical_terms(corpus, session, imp.position)
-             for session in corpus.sessions for imp in session.impressions
-             if not imp.is_test_query],
-            SourceKind.HISTORICAL,
-        )
-        stats = build_stats(corpus, SourceKind.HISTORICAL)
+        direct = definitional_historical_stats(corpus)
+        stats = build_stats(SourceIndex(corpus), SourceKind.HISTORICAL)
         assert (stats.N, stats.df, stats.avgdl) == (direct.N, direct.df, direct.avgdl)
 
-    def test_build_stats_is_memoized_per_corpus(self):
+    def test_one_pass_historical_stats_equal_the_definition(self, historical_corpus,
+                                                           shared_docs_corpus):
+        """N, df and avgdl without a historical bag built equal those of
+        the bags built by definition, with test queries, a term that
+        leaves and comes back, and empty snippets and documents."""
+        corpus = historical_corpus
+        assert corpus.doc_terms("e").counts == {}  # clicked at X's position 1
+        for c in (corpus, shared_docs_corpus, synth_corpus(session_length=7)):
+            direct = definitional_historical_stats(c)
+            stats = build_stats(SourceIndex(c), SourceKind.HISTORICAL)
+            assert (stats.N, stats.df, stats.avgdl) == (direct.N, direct.df, direct.avgdl)
+        stats = build_stats(SourceIndex(corpus), SourceKind.HISTORICAL)
+        # X's bags: {x y}, {x y z}, {x y z w}; Y's: {y}
+        assert stats.N == 4
+        assert stats.df == {"x": 3, "y": 4, "z": 2, "w": 1}
+        assert stats.avgdl == (2 + 4 + 8 + 1) / 4
+
+    def test_corpus_gains_no_attribute(self):
+        """Every analysis keeps what it builds to itself: a corpus holds
+        only its dataclass fields after all of them."""
         corpus = synth_corpus()
-        stats = build_stats(corpus, SourceKind.ALL_SNIPPETS)
-        assert build_stats(corpus, SourceKind.ALL_SNIPPETS) is stats
-        copy = replace(corpus)
-        assert "_stats_cache" not in copy.__dict__
-        fresh = build_stats(copy, SourceKind.ALL_SNIPPETS)
-        assert fresh is not stats
-        assert (fresh.N, fresh.df, fresh.avgdl) == (stats.N, stats.df, stats.avgdl)
+        corpus = replace(corpus, sessions=tuple(replace(s, topic_id="T") for s in corpus.sessions),
+                         qrels=RelevanceJudgments({("T", d): 1 for d in corpus.docstore}))
+        pairs = extract_pairs(corpus)
+        score_pairs(pairs, corpus)
+        assign_scenarios([p for p in pairs if not p.involves_test_query], corpus)
+        assert score_impressions(corpus)
+        assert set(vars(corpus)) == {f.name for f in fields(Corpus)}
 
     @pytest.mark.parametrize("policy", ["drop", "empty"])
     def test_source_comparison_equals_per_row_scoring_exactly(self, policy):
@@ -292,23 +400,17 @@ class TestSharedSourceWork:
         same floats."""
         corpus = synth_corpus(sessions=10)
         pairs = extract_pairs(corpus)
-        samples = {label: [] for label, _ in SOURCE_ROWS}
+        index = SourceIndex(corpus)
+        samples = {label: [] for label in SOURCE_ROWS}
         for pair in pairs:
             imp = pair.before
             if not imp.results:
                 continue
-            session = pair.session
-            for label, kind in SOURCE_ROWS:
-                base = (SourceKind.ALL_SNIPPETS if kind in SNIPPET_KINDS
-                        else SourceKind.ALL_DOCUMENTS if kind in DOCUMENT_KINDS else kind)
-                if kind is SourceKind.HISTORICAL:
-                    instances, ok = [chained_historical(corpus, session, pair.position)], True
-                else:
-                    view = extract_source(imp, kind, corpus)
-                    instances, ok = view.instances, view.complete or policy == EMPTY
-                if ok and instances:
+            for label in SOURCE_ROWS:
+                instances, complete, kind = row_instances(corpus, pair, label)
+                if (complete or policy == EMPTY) and instances:
                     scores = np.asarray(
-                        definition_rows(pair, instances, build_stats(corpus, base)))
+                        definition_rows(pair, instances, build_stats(index, kind)))
                     samples[label].append(scores.mean(axis=0))
         table = source_comparison(score_pairs(pairs, corpus), policy)
         assert set(table.rows) == {label for label, rows in samples.items() if rows}
@@ -353,22 +455,23 @@ class TestSharedSourceWork:
         assert len(bags) == len(set(pair_of.values()))  # one added-term bag per pair
 
     @pytest.mark.parametrize("session_length", [6, 12])
-    def test_source_comparison_builds_linear_impression_bags(self, session_length, monkeypatch):
-        corpus = synth_corpus(session_length=session_length, sessions=1)
-        built = []
-        extract = sources.extract_source
+    def test_source_comparison_builds_linear_impression_bags(self, session_length,
+                                                             monkeypatch):
+        """`score_pairs` builds each non-test query's impression bag once
+        (the index's one `clicked_mask` call per bag), for the impression
+        and historical statistics and the session's scores alike."""
+        corpus = synth_corpus(session_length=session_length, sessions=3)
+        built = Counter()
+        mask = sources.clicked_mask
 
-        def counting(imp, kind, corpus):
-            if kind is SourceKind.IMPRESSION:
-                built.append(imp.position)
-            return extract(imp, kind, corpus)
+        def counting(imp):
+            built[id(imp)] += 1
+            return mask(imp)
 
-        monkeypatch.setattr(sources, "extract_source", counting)
+        monkeypatch.setattr(sources, "clicked_mask", counting)
         score_pairs(extract_pairs(corpus), corpus)
-        # One bag per impression for each of: the impression stats, the
-        # historical stats, and the session's impression and historical
-        # bags. Rebuilding each prefix from scratch is quadratic.
-        assert len(built) <= 3 * session_length
+        assert built == Counter(id(imp) for session in corpus.sessions
+                                for imp in session.impressions if not imp.is_test_query)
 
 
 class TestLastClick:
@@ -565,7 +668,7 @@ from conftest import make_corpus, make_impression
 from test_similarity import oracle_row
 from sessionterms.actions import extract_pairs
 from sessionterms.similarity import BagSide, SourceKind, build_stats
-from sessionterms.sources import _added_bag, _similarities
+from sessionterms.sources import SourceIndex, _added_bag, _similarities
 from sessionterms.textnorm import NormalizationConfig
 
 config = NormalizationConfig(stoplist=frozenset(), stemming_enabled=False)
@@ -580,7 +683,7 @@ first = make_impression(1, "q", config, snippets=snippets)
 second = make_impression(2, "q " + later, config, snippets=["s"])
 corpus = make_corpus([("h", None, [first, second])], config)
 [pair] = extract_pairs(corpus)
-stats = build_stats(corpus, SourceKind.ALL_SNIPPETS)
+stats = build_stats(SourceIndex(corpus), SourceKind.ALL_SNIPPETS)
 print(repr(_similarities(_added_bag(pair), [BagSide(r.terms, stats) for r in first.results],
                          stats, 1.2, 0.75)))
 """

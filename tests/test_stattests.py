@@ -99,6 +99,22 @@ class TestWelch:
         assert result.statistic == pytest.approx(welch_t([0, 1, 2], [1, 3, 4]).statistic)
         assert 0.0 < result.p_value < 1.0
 
+    @pytest.mark.parametrize("a,b", [
+        ([0.0, 1e160, 2e160], [1e160, 3e160, 5e160]),
+        ([1e307, -1e307, 5e306], [1.0, 2e306, -3e306]),  # scaled down twice
+    ])
+    def test_huge_samples_scale_exactly(self, a, b):
+        """Squares above the float range raise OverflowError; t and df
+        come from the samples scaled by a power of two, which changes no
+        bit."""
+        with pytest.raises(OverflowError):
+            plain_welch(a, b)
+        result = welch_t(a, b)
+        assert 0.0 < result.p_value < 1.0
+        for k in (512, 600, 1000):
+            scaled = welch_t([math.ldexp(x, -k) for x in a], [math.ldexp(x, -k) for x in b])
+            assert (result.statistic, result.p_value) == (scaled.statistic, scaled.p_value)
+
     @pytest.mark.parametrize("exponent", [-450, -300, -100, 100, 200])
     def test_power_of_two_scaling_keeps_every_bit(self, exponent):
         rng = random.Random(exponent)
