@@ -23,6 +23,7 @@ qrels only gives a notice).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -35,12 +36,12 @@ from .corpus import (
     Corpus,
     IngestError,
     attach_documents,
+    canonical_json_chunks,
     from_canonical_json,
     ingest_qrels,
     ingest_trec_xml,
     merge,
     normalization_settings,
-    to_canonical_json,
 )
 from .similarity import MissingDocstoreError, ScoreOverflowError
 from .textnorm import NormalizationConfig, load_stoplist
@@ -131,6 +132,22 @@ def _load_corpus(path) -> Corpus:
         return from_canonical_json(f.read())
 
 
+def _write_corpus(corpus, path):
+    """Write a corpus's canonical JSON chunk by chunk to a temporary file
+    next to `path`, then move it into place: no whole-corpus string is
+    built, and an interrupted write leaves no truncated corpus behind."""
+    directory, name = os.path.split(os.path.abspath(path))
+    temporary = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(temporary, "wb") as f:
+            f.writelines(canonical_json_chunks(corpus))
+        os.replace(temporary, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(temporary)
+        raise
+
+
 def cmd_ingest(args) -> int:
     config = _normalization_config(args)
     corpora = [ingest_trec_xml(path, config) for path in args.trec_xml]
@@ -141,8 +158,7 @@ def cmd_ingest(args) -> int:
         corpus = replace(corpus, qrels=ingest_qrels(args.qrels))
     if args.docs:
         corpus = attach_documents(corpus, args.docs)
-    with open(args.out, "wb") as f:
-        f.write(to_canonical_json(corpus))
+    _write_corpus(corpus, args.out)
     n_sessions = len(corpus.sessions)
     n_impressions = sum(
         1 for s in corpus.sessions for i in s.impressions if not i.is_test_query
@@ -308,8 +324,7 @@ def cmd_synth(args) -> int:
     with open(args.spec, encoding="utf-8") as f:
         spec = synthgen.GeneratorSpec.from_json(f.read())
     corpus = synthgen.generate(spec)
-    with open(args.out, "wb") as f:
-        f.write(to_canonical_json(corpus))
+    _write_corpus(corpus, args.out)
     print(f"wrote {args.out}")
     return 0
 

@@ -440,62 +440,93 @@ def _bag_from_json(counts) -> TermBag:
     return bag
 
 
-def to_canonical_json(corpus: Corpus) -> bytes:
-    """Serialize a corpus to the versioned canonical JSON format."""
-    doc = {
-        "schema": CANONICAL_SCHEMA_VERSION,
-        "provenance": corpus.provenance,
-        "normalization": normalization_settings(corpus.config),
-        "sessions": [
+def _dumps(value) -> bytes:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"),
+                      ensure_ascii=False).encode("utf-8")
+
+
+def _session_to_json(s: Session) -> dict:
+    return {
+        "id": s.id,
+        "topic_id": s.topic_id,
+        "impressions": [
             {
-                "id": s.id,
-                "topic_id": s.topic_id,
-                "impressions": [
+                "position": imp.position,
+                "raw_query": imp.raw_query,
+                "query_terms": _bag_to_json(imp.query_terms),
+                "results": [
                     {
-                        "position": imp.position,
-                        "raw_query": imp.raw_query,
-                        "query_terms": _bag_to_json(imp.query_terms),
-                        "results": [
-                            {
-                                "rank": r.rank,
-                                "url": r.url,
-                                "docid": r.docid,
-                                "title": r.title,
-                                "snippet": r.snippet,
-                                "terms": _bag_to_json(r.terms),
-                            }
-                            for r in imp.results
-                        ],
-                        "clicks": [
-                            {
-                                "rank": c.rank,
-                                "order": c.order,
-                                "start_time": c.start_time,
-                                "end_time": c.end_time,
-                            }
-                            for c in imp.clicks
-                        ],
+                        "rank": r.rank,
+                        "url": r.url,
+                        "docid": r.docid,
+                        "title": r.title,
+                        "snippet": r.snippet,
+                        "terms": _bag_to_json(r.terms),
                     }
-                    for imp in s.impressions
+                    for r in imp.results
+                ],
+                "clicks": [
+                    {
+                        "rank": c.rank,
+                        "order": c.order,
+                        "start_time": c.start_time,
+                        "end_time": c.end_time,
+                    }
+                    for c in imp.clicks
                 ],
             }
-            for s in corpus.sessions
+            for imp in s.impressions
         ],
+    }
+
+
+def _delimited(opening: bytes, items, closing: bytes):
+    """A JSON array or object: `opening`, the encoded items separated by
+    commas, `closing`."""
+    yield opening
+    separator = b""
+    for item in items:
+        yield separator + item
+        separator = b","
+    yield closing
+
+
+def canonical_json_chunks(corpus: Corpus):
+    """The canonical JSON of a corpus in UTF-8 chunks: one per docstore
+    entry and per session, and the other top-level members between them,
+    all in sorted key order. Joined, the chunks are `json.dumps` of the
+    whole document with sorted keys, no spaces and no ASCII escaping, so
+    a writer needs no whole-corpus string."""
+    docstore = corpus.docstore
+    yield b'{"docstore":'
+    if docstore is None:
+        yield b"null"
+    else:
+        yield from _delimited(
+            b"{", (_dumps(d) + b":" + _dumps(docstore[d]) for d in sorted(docstore)), b"}")
+    # The members whose keys sort between "docstore" and "sessions".
+    middle = {
+        "incomplete_impressions": sorted(
+            [sid, pos] for sid, pos in corpus.incomplete_impressions
+        ),
+        "normalization": normalization_settings(corpus.config),
+        "provenance": corpus.provenance,
         "qrels": (
             sorted([t, d, g] for (t, d), g in corpus.qrels.grades.items())
             if corpus.qrels is not None
             else None
         ),
-        "docstore": (
-            {d: corpus.docstore[d] for d in sorted(corpus.docstore)}
-            if corpus.docstore is not None
-            else None
-        ),
-        "incomplete_impressions": sorted(
-            [sid, pos] for sid, pos in corpus.incomplete_impressions
-        ),
+        "schema": CANONICAL_SCHEMA_VERSION,
     }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
+    yield b"," + _dumps(middle)[1:-1] + b',"sessions":'
+    yield from _delimited(b"[", map(_dumps, map(_session_to_json, corpus.sessions)), b"]")
+    yield b"}"
+
+
+def to_canonical_json(corpus: Corpus) -> bytes:
+    """Serialize a corpus to the versioned canonical JSON format: the
+    join of `canonical_json_chunks`."""
+    return b"".join(canonical_json_chunks(corpus))
 
 
 def from_canonical_json(data: bytes) -> Corpus:

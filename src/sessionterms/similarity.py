@@ -7,12 +7,16 @@ idf) and the bag side (counts, token count, tf-idf norm). To score one
 query against many bags, build its `QuerySide` once and a `BagSide` per
 bag; a bag's norm is computed on first use, and only a bag that shares
 a term with the query needs it. The functions go through the same
-helpers, in the same float operations and order.
+helpers, in the same float operations and order. Float sums are added
+in order by a loop: the builtin `sum` compensates from Python 3.12 on,
+which would change the last digit of a score with the interpreter.
 
 `build_stats` reads a source kind's instances from a
 `sources.SourceIndex`, so each impression and document bag is built
 once per index. The historical statistics come from one pass over each
-session's impression bags, with no historical bag built.
+session's impression bags, with no historical bag built. A kind's
+statistics hold a df entry per distinct term of that kind; the document
+kind's is the largest, so callers build one kind's at a time.
 """
 
 from __future__ import annotations
@@ -168,8 +172,12 @@ def _tfidf_weights(counts, stats):
 
 
 def _norm(weights):
-    """Euclidean norm of weights, summed in their order."""
-    return math.sqrt(sum(map(mul, weights, weights)))
+    """Euclidean norm of weights, their squares added in order (not with
+    `sum`, which compensates from Python 3.12 on)."""
+    total = 0.0
+    for w in weights:
+        total += w * w
+    return math.sqrt(total)
 
 
 def _cosine(query, query_norm, counts, norm, stats):
@@ -177,7 +185,9 @@ def _cosine(query, query_norm, counts, norm, stats):
     and a non-empty bag's counts and norm."""
     if query_norm == 0.0 or norm == 0.0:
         return 0.0
-    dot = sum(w * (counts[t] * stats.idf_tfidf(t) if t in counts else 0.0) for t, w in query)
+    dot = 0.0
+    for t, w in query:
+        dot += w * (counts[t] * stats.idf_tfidf(t) if t in counts else 0.0)
     return dot / (query_norm * norm)
 
 

@@ -6,9 +6,11 @@ A `SourceIndex` holds the term sources of one corpus, each built once on
 first use: a document's bag per docid, and per session the impression
 bag of each non-test query. `score_pairs` scores each pair once against
 every source; the four tables only aggregate those scores and apply the
-docstore policy. Within `score_pairs` the added terms' side of the
-measures is computed once per pair and source kind, a document's side
-once per distinct docid, and historical bags once per session.
+docstore policy. `score_pairs` scores one source kind at a time, so only
+that kind's collection statistics and bag sides are alive; the index
+and the rows of floats stay. Within a kind the added terms' side of the
+measures is computed once per pair, a document's side once per distinct
+docid, and historical bags once per session.
 """
 
 from __future__ import annotations
@@ -113,6 +115,49 @@ class ScoredPair:
     historical: tuple | None = None
 
 
+def _bag_sides(index, kind, stats, pairs):
+    """Per pair, in pair order, the `BagSide`s under `stats` of its bags of
+    one source kind: a snippet or a document (None without its text) per
+    result, or its one impression or historical bag. A document's side is
+    built once per docid and historical bags once per session; both are
+    dropped with the generator."""
+    if kind is SourceKind.ALL_SNIPPETS:
+        for pair in pairs:
+            yield [BagSide(r.terms, stats) for r in pair.before.results]
+    elif kind is SourceKind.ALL_DOCUMENTS:
+        by_docid = {}
+        for pair in pairs:
+            for r in pair.before.results:
+                if r.docid not in by_docid:
+                    bag = index.doc_bag(r.docid)
+                    by_docid[r.docid] = None if bag is None else BagSide(bag, stats)
+            yield [by_docid[r.docid] for r in pair.before.results]
+    elif kind is SourceKind.IMPRESSION:
+        for pair in pairs:
+            yield [BagSide(index.impressions(pair.session)[pair.position][0], stats)]
+    else:
+        session = None
+        for pair in pairs:
+            if pair.session is not session:
+                # The historical bag of a position: the impression bags
+                # of the session's non-test queries up to it, summed in
+                # order.
+                session = pair.session
+                impressions = index.impressions(session)
+                historical = dict(zip(impressions, accumulate(
+                    (bag for bag, _ in impressions.values()), TermBag.add)))
+            yield [BagSide(historical[pair.position], stats)]
+
+
+def _kind_rows(index, kind, pairs, added, k1, b):
+    """Each pair's `_similarities` rows against its bags of one source
+    kind, under that kind's statistics. The statistics and every
+    `BagSide` are released on return, before the next kind's are built."""
+    stats = build_stats(index, kind)
+    return [_similarities(added_bag, sides, stats, k1, b)
+            for added_bag, sides in zip(added, _bag_sides(index, kind, stats, pairs))]
+
+
 def score_pairs(pairs, corpus, k1: float = 1.2, b: float = 0.75) -> list:
     """A ScoredPair for each pair whose earlier query has results, in
     pair order, for every table of `analyze sources` to share. Each
@@ -120,52 +165,29 @@ def score_pairs(pairs, corpus, k1: float = 1.2, b: float = 0.75) -> list:
     (snippets against all snippets, documents against all documents),
     all read from one `SourceIndex` of the corpus.
 
-    Each factor is computed once, at the level it depends on: the added
-    terms' bag per pair, and their side of every measure per pair and
-    source kind (`_similarities`); a document's `BagSide`, with its token
-    count and tf-idf norm, per distinct docid in this call; historical
-    bags per session; Jaccard and the rest per bag. A bag's norm is
-    computed only when the bag shares an added term."""
+    The kinds are scored one after another (snippets, documents,
+    impression, historical), so only one kind's statistics and bag sides
+    are alive at a time. Each factor is computed once, at the level it
+    depends on: the added terms' bag per pair, and their side of every
+    measure per pair and source kind (`_similarities`); a document's
+    `BagSide`, with its token count and tf-idf norm, per distinct docid
+    in this call; historical bags per session; Jaccard and the rest per
+    bag. A bag's norm is computed only when the bag shares an added
+    term."""
+    pairs = [pair for pair in pairs if pair.before.results]
+    added = [_added_bag(pair) for pair in pairs]
     index = SourceIndex(corpus)
-    snippet_stats = build_stats(index, SourceKind.ALL_SNIPPETS)
-    if corpus.docstore:
-        doc_stats, impression_stats, historical_stats = (
-            build_stats(index, kind) for kind in
-            (SourceKind.ALL_DOCUMENTS, SourceKind.IMPRESSION, SourceKind.HISTORICAL))
-    doc_sides = {}  # docid -> BagSide under doc_stats, None for a missing text
-    scored = []
-    session = None
-    for pair in pairs:
-        imp = pair.before
-        if not imp.results:
-            continue
-        added = _added_bag(pair)
-        snippets = _similarities(added, [BagSide(r.terms, snippet_stats) for r in imp.results],
-                                 snippet_stats, k1, b)
-        if not corpus.docstore:
-            scored.append(ScoredPair(pair, snippets))
-            continue
-        sides = []
-        for r in imp.results:
-            if r.docid not in doc_sides:
-                bag = index.doc_bag(r.docid)
-                doc_sides[r.docid] = None if bag is None else BagSide(bag, doc_stats)
-            sides.append(doc_sides[r.docid])
-        documents = _similarities(added, sides, doc_stats, k1, b)
-        if pair.session is not session:
-            # The historical bag of a position: the impression bags of
-            # the session's non-test queries up to it, summed in order.
-            session = pair.session
-            impressions = index.impressions(session)
-            historical = dict(zip(impressions, accumulate(
-                (bag for bag, _ in impressions.values()), TermBag.add)))
-        bag, complete = impressions[pair.position]
-        [impression] = _similarities(added, [BagSide(bag, impression_stats)],
-                                     impression_stats, k1, b)
-        [history] = _similarities(added, [BagSide(historical[pair.position], historical_stats)],
-                                  historical_stats, k1, b)
-        scored.append(ScoredPair(pair, snippets, documents, impression, complete, history))
-    return scored
+    snippets = _kind_rows(index, SourceKind.ALL_SNIPPETS, pairs, added, k1, b)
+    if not corpus.docstore:
+        return [ScoredPair(pair, rows) for pair, rows in zip(pairs, snippets)]
+    documents, impression, historical = (
+        _kind_rows(index, kind, pairs, added, k1, b) for kind in
+        (SourceKind.ALL_DOCUMENTS, SourceKind.IMPRESSION, SourceKind.HISTORICAL))
+    return [
+        ScoredPair(pair, snip, docs, imp, index.impressions(pair.session)[pair.position][1], hist)
+        for pair, snip, docs, [imp], [hist]
+        in zip(pairs, snippets, documents, impression, historical)
+    ]
 
 
 _MEASURES = ["snippet_terms", "jaccard", "cosine", "bm25"]

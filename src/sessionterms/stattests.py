@@ -69,6 +69,15 @@ class TestResult:
         return self.p_value is not None
 
 
+def _sum(values):
+    """Float sum in order. The builtin `sum` compensates from Python 3.12
+    on, so its last digit would depend on the interpreter."""
+    total = 0.0
+    for x in values:
+        total += x
+    return total
+
+
 def _t_sf_two_sided(t, df):
     """Two-sided tail probability of Student's t via the regularized
     incomplete beta function."""
@@ -90,17 +99,25 @@ def _welch(sample_a, sample_b):
     n1, n2 = len(a), len(b)
     if n1 < 2 or n2 < 2:
         return None, None, 0
-    mean1 = sum(a) / n1
-    mean2 = sum(b) / n2
+    mean1 = _sum(a) / n1
+    mean2 = _sum(b) / n2
     try:
-        var1 = sum((x - mean1) ** 2 for x in a) / (n1 - 1)
-        var2 = sum((x - mean2) ** 2 for x in b) / (n2 - 1)
+        var1 = _sum((x - mean1) ** 2 for x in a) / (n1 - 1)
+        var2 = _sum((x - mean2) ** 2 for x in b) / (n2 - 1)
         df_denominator = (var1 / n1) ** 2 / (n1 - 1) + (var2 / n2) ** 2 / (n2 - 1)
+        finite = all(map(math.isfinite, (var1, var2, df_denominator)))
     except OverflowError:
-        # A square leaves the float range. As in the underflow case
-        # below, t and df do not change when both samples are scaled by
-        # a power of two; 2**-512 lowers the exponent of every square by
-        # 1024, so this recurses at most twice.
+        finite = False
+    if not finite:
+        if not all(map(math.isfinite, a + b)):
+            # An inf or nan in a sample makes its variance nan; scaling
+            # would recurse forever.
+            return math.nan, math.nan, n1 + n2
+        # A square, or a sum of finite ones, leaves the float range. As
+        # in the underflow case below, t and df do not change when both
+        # samples are scaled by a power of two; 2**-512 lowers the
+        # exponent of every square by 1024, so this recurses at most
+        # twice.
         return _welch([math.ldexp(x, -512) for x in a], [math.ldexp(x, -512) for x in b])
     if var1 == 0.0 and var2 == 0.0:
         if mean1 == mean2:

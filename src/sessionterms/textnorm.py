@@ -2,9 +2,11 @@
 
 The pipeline is tokenize -> stopword filter -> stem, producing a TermBag
 (term frequency counts). All downstream analysis operates on TermBags.
-`normalize` filters and stems in one pass over the tokens, and looks a
-word up in the per-process Porter memo before `stem` runs its regex; each
-distinct ASCII word is stemmed once per process.
+`normalize` filters and stems in one pass over the tokens. Only a token
+of letters can be stemmed, so the others (every token with a digit) skip
+the Porter memo and `stem`; a word is looked up in the per-process memo
+before `stem` runs its regex, and each distinct ASCII word is stemmed
+once per process.
 """
 
 from __future__ import annotations
@@ -180,12 +182,14 @@ def stem(token: str) -> str:
 
 def normalize(text: str, config: NormalizationConfig) -> TermBag:
     """Full pipeline: tokenize, remove stopwords, stem, count. Stopwords
-    are dropped and the rest stemmed in one pass over the tokens; a word
-    already in the Porter memo skips `stem` and its regex."""
+    are dropped and the rest stemmed in one pass over the tokens; a token
+    that is not all letters, or a word already in the Porter memo, skips
+    `stem` and its regex."""
     tokens = tokenize(text, config.keep_numeric_tokens)
     stoplist = config.stoplist
     if config.stemming_enabled:
-        tokens = [_STEMS.get(t) or stem(t) for t in tokens if t not in stoplist]
+        tokens = [(_STEMS.get(t) or stem(t)) if t.isalpha() else t
+                  for t in tokens if t not in stoplist]
     else:
         tokens = [t for t in tokens if t not in stoplist]
     return TermBag.from_tokens(tokens)

@@ -47,6 +47,20 @@ def make_impression(position, query, config, snippets=(), clicks=(), docids=None
     )
 
 
+def neumaier_sum(values, start=0):
+    """Compensated (Neumaier) sum, as the builtin `sum` adds floats from
+    Python 3.12 on; exact on integers."""
+    total, compensation = start, 0
+    for x in values:
+        t = total + x
+        if abs(total) >= abs(x):
+            compensation += (total - t) + x
+        else:
+            compensation += (x - t) + total
+        total = t
+    return total + compensation
+
+
 def make_corpus(sessions, config, docstore=None, qrels=None, provenance="test"):
     """sessions: list of (session_id, topic_id, [impression, ...])."""
     built = tuple(

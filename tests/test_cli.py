@@ -5,16 +5,26 @@ import os
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 
 import pytest
 from scipy.special import betainc
 
-from sessionterms import synthgen
+from sessionterms import cli, synthgen
 from sessionterms.actions import extract_pairs
 from sessionterms.cli import main
-from sessionterms.corpus import from_canonical_json, to_canonical_json
+from sessionterms.corpus import (
+    attach_documents,
+    from_canonical_json,
+    ingest_qrels,
+    ingest_trec_xml,
+    to_canonical_json,
+)
 from sessionterms.sources import score_pairs
 from sessionterms.stattests import column_means
+from sessionterms.textnorm import NormalizationConfig
+
+from test_golden import write_english_inputs
 
 SESSION_XML = """<sessions>
   <session num="1">
@@ -87,6 +97,65 @@ class TestIngest:
         run_ingest(workspace, out="a.json")
         run_ingest(workspace, out="b.json")
         assert (workspace / "a.json").read_bytes() == (workspace / "b.json").read_bytes()
+
+    @pytest.mark.parametrize("inputs", ["no-qrels-no-docs", "non-ascii", "english"])
+    def test_output_is_the_canonical_json(self, tmp_path, monkeypatch, inputs):
+        """The corpus `ingest` streams to disk has the bytes of
+        `to_canonical_json`: without a docstore and qrels, with non-ASCII
+        text, and for the golden English log."""
+        monkeypatch.delenv(cli.STOPLIST_ENV, raising=False)
+        if inputs == "english":
+            write_english_inputs(str(tmp_path))
+        else:
+            xml = SESSION_XML
+            if inputs == "non-ascii":
+                xml = xml.replace("gun control opinions", "contrôle des armes — 銃規制")
+                xml = xml.replace("violence statistics", "statistiques naïves")
+            (tmp_path / "sessions.xml").write_text(xml, encoding="utf-8")
+        flags = []
+        if inputs != "no-qrels-no-docs":
+            if inputs == "non-ascii":
+                (tmp_path / "qrels.txt").write_text("T 0 dB 2\nT 0 dÉ 1\n", encoding="utf-8")
+                (tmp_path / "docs").mkdir()
+                (tmp_path / "docs" / "dB").write_text("données « complètes » 日本語",
+                                                      encoding="utf-8")
+            flags = ["--qrels", str(tmp_path / "qrels.txt"), "--docs", str(tmp_path / "docs")]
+        out = tmp_path / "corpus.json"
+        assert main(["ingest", "--trec-xml", str(tmp_path / "sessions.xml"), *flags,
+                     "--out", str(out)]) == 0
+        corpus = ingest_trec_xml(tmp_path / "sessions.xml", NormalizationConfig())
+        if flags:
+            corpus = attach_documents(replace(corpus, qrels=ingest_qrels(tmp_path / "qrels.txt")),
+                                      tmp_path / "docs")
+        else:
+            assert corpus.docstore is None and corpus.qrels is None
+        assert out.read_bytes() == to_canonical_json(corpus)
+        assert sorted(os.listdir(tmp_path)) == sorted(
+            ["sessions.xml", "corpus.json"] + (["qrels.txt", "docs"] if flags else []))
+
+    @pytest.mark.parametrize("earlier", [None, b"an earlier corpus"])
+    def test_interrupted_write_leaves_no_truncated_corpus(self, workspace, monkeypatch, capsys,
+                                                          earlier):
+        """A write that fails part way leaves the earlier file, or none,
+        and no temporary file."""
+        out = workspace / "corpus.json"
+        if earlier is not None:
+            out.write_bytes(earlier)
+        before = sorted(os.listdir(workspace))
+        chunks = cli.canonical_json_chunks
+
+        def failing(corpus):
+            for i, chunk in enumerate(chunks(corpus)):
+                if i == 3:
+                    raise OSError("No space left on device")
+                yield chunk
+
+        monkeypatch.setattr(cli, "canonical_json_chunks", failing)
+        assert run_ingest(workspace) == 1
+        assert "No space left on device" in capsys.readouterr().err
+        assert sorted(os.listdir(workspace)) == before
+        if earlier is not None:
+            assert out.read_bytes() == earlier
 
     def test_stoplist_flag(self, workspace, capsys):
         stop = workspace / "stop.txt"

@@ -1,3 +1,4 @@
+import json
 import random
 from dataclasses import replace
 
@@ -11,6 +12,7 @@ from sessionterms.corpus import (
     ingest_qrels,
     ingest_trec_xml,
     merge,
+    normalization_settings,
     to_canonical_json,
 )
 from sessionterms.textnorm import NormalizationConfig
@@ -246,7 +248,69 @@ class TestAttachDocuments:
         assert ("40", 2) not in corpus.incomplete_impressions
 
 
+def whole_document_json(corpus):
+    """The canonical JSON by its definition: one `json.dumps` of the
+    whole document."""
+    doc = {
+        "schema": 1,
+        "provenance": corpus.provenance,
+        "normalization": normalization_settings(corpus.config),
+        "sessions": [
+            {
+                "id": s.id,
+                "topic_id": s.topic_id,
+                "impressions": [
+                    {
+                        "position": imp.position,
+                        "raw_query": imp.raw_query,
+                        "query_terms": imp.query_terms.counts,
+                        "results": [
+                            {"rank": r.rank, "url": r.url, "docid": r.docid, "title": r.title,
+                             "snippet": r.snippet, "terms": r.terms.counts}
+                            for r in imp.results
+                        ],
+                        "clicks": [
+                            {"rank": c.rank, "order": c.order, "start_time": c.start_time,
+                             "end_time": c.end_time}
+                            for c in imp.clicks
+                        ],
+                    }
+                    for imp in s.impressions
+                ],
+            }
+            for s in corpus.sessions
+        ],
+        "qrels": (sorted([t, d, g] for (t, d), g in corpus.qrels.grades.items())
+                  if corpus.qrels is not None else None),
+        "docstore": corpus.docstore,
+        "incomplete_impressions": sorted([sid, pos] for sid, pos in corpus.incomplete_impressions),
+    }
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
+
+
 class TestCanonicalJson:
+    def test_chunks_join_to_the_whole_document(self, xml_corpus, tmp_path, plain_config):
+        """The streamed chunks give the bytes of one `json.dumps` of the
+        whole document: with and without a docstore and qrels, with an
+        empty docstore and no session, with non-ASCII text and escapes,
+        and with an incomplete impression."""
+        docs = tmp_path / "docs"
+        docs.mkdir()
+        (docs / "doc-a").write_text("café \"quoted\" \\ naïve\n日本語 \u2028", encoding="utf-8")
+        with_docs = replace(attach_documents(xml_corpus, docs),
+                            qrels=RelevanceJudgments({("13", "doc-b"): 3, ("13", "doc-a"): 0}))
+        assert with_docs.incomplete_impressions
+        non_ascii = make_corpus(
+            [("Ω-1", "τ", [make_impression(1, "über café", plain_config, snippets=["naïve 日本"],
+                                           docids=["дoc"], clicks=[(1, 0, 5)]),
+                           make_impression(2, "über", plain_config)])],
+            plain_config, docstore={"дoc": "ünïcode", "a\tb": ""}, provenance="crème")
+        corpora = [xml_corpus, with_docs, non_ascii,
+                   replace(xml_corpus, sessions=(), docstore={}),
+                   replace(xml_corpus, qrels=RelevanceJudgments({}))]
+        for corpus in corpora:
+            assert to_canonical_json(corpus) == whole_document_json(corpus)
+
     def test_round_trip_identity(self, xml_corpus):
         again = from_canonical_json(to_canonical_json(xml_corpus))
         assert again == xml_corpus

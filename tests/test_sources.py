@@ -1,6 +1,9 @@
+import gc
 import os
+import random
 import subprocess
 import sys
+import weakref
 from collections import Counter
 from dataclasses import fields, replace
 
@@ -41,7 +44,7 @@ from sessionterms.stattests import welch_t
 from sessionterms.synthgen import GeneratorSpec, generate
 from sessionterms.textnorm import TermBag
 
-from conftest import make_corpus, make_impression
+from conftest import make_corpus, make_impression, neumaier_sum
 from test_similarity import oracle_row
 
 
@@ -453,6 +456,51 @@ class TestSharedSourceWork:
                                if p.before.results for kind in kinds}
         assert set(scored.values()) == {1}
         assert len(bags) == len(set(pair_of.values()))  # one added-term bag per pair
+
+    def test_one_kinds_statistics_are_alive_at_a_time(self, monkeypatch):
+        """`score_pairs` builds the four kinds' statistics in turn, and
+        releases each, with its bag sides, before the next is built."""
+        corpus = synth_corpus()
+        built = []
+        build = sources.build_stats
+
+        def tracking(index, kind):
+            stats = build(index, kind)
+            gc.collect()
+            assert [ref().kind for ref in built if ref() is not None] == []
+            built.append(weakref.ref(stats))
+            return stats
+
+        monkeypatch.setattr(sources, "build_stats", tracking)
+        scored = score_pairs(extract_pairs(corpus), corpus)
+        assert len(built) == 4 and scored
+        gc.collect()
+        assert all(ref() is None for ref in built)
+
+    def test_scores_do_not_depend_on_the_builtin_sum(self, plain_config, monkeypatch):
+        """No score is a builtin `sum` of floats, which compensates from
+        Python 3.12 on: with a compensated `sum` in the modules that
+        score, every row keeps its bits. A few frequent terms among many
+        rare ones give addends of very different sizes."""
+        rng = random.Random(7)
+        words = [f"w{i}" for i in range(60)]
+
+        def text(n):
+            return " ".join(rng.choice(words[:5] if rng.random() < 0.5 else words)
+                            for _ in range(n))
+
+        impressions = [make_impression(pos, text(12), plain_config,
+                                       snippets=[text(40) for _ in range(4)],
+                                       docids=[f"d{pos}-{k}" for k in range(4)],
+                                       clicks=[(1, 0, 9)])
+                       for pos in range(1, 5)]
+        docstore = {f"d{pos}-{k}": text(300) for pos in range(1, 5) for k in range(4)}
+        corpus = make_corpus([("s", None, impressions)], plain_config, docstore=docstore)
+        pairs = extract_pairs(corpus)
+        expected = score_pairs(pairs, corpus)
+        for module in (similarity, sources):
+            monkeypatch.setattr(module, "sum", neumaier_sum, raising=False)
+        assert score_pairs(pairs, corpus) == expected
 
     @pytest.mark.parametrize("session_length", [6, 12])
     def test_source_comparison_builds_linear_impression_bags(self, session_length,

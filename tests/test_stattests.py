@@ -2,10 +2,13 @@ import itertools
 import math
 import random
 import sys
+from functools import reduce
+from operator import add
 
 import pytest
 from scipy.special import betainc, betaincc
 
+from sessionterms import stattests
 from sessionterms.stattests import (
     column_means,
     pairwise_mean,
@@ -13,6 +16,8 @@ from sessionterms.stattests import (
     welch_t,
     wilcoxon_signed_rank,
 )
+
+from conftest import neumaier_sum
 
 # Frozen reference values for Welch's unequal-variance t-test,
 # cross-checked against an independent implementation.
@@ -46,9 +51,9 @@ def plain_welch(sample_a, sample_b):
     a = [float(x) for x in sample_a]
     b = [float(x) for x in sample_b]
     n1, n2 = len(a), len(b)
-    mean1, mean2 = sum(a) / n1, sum(b) / n2
-    var1 = sum((x - mean1) ** 2 for x in a) / (n1 - 1)
-    var2 = sum((x - mean2) ** 2 for x in b) / (n2 - 1)
+    mean1, mean2 = reduce(add, a, 0.0) / n1, reduce(add, b, 0.0) / n2
+    var1 = reduce(add, ((x - mean1) ** 2 for x in a), 0.0) / (n1 - 1)
+    var2 = reduce(add, ((x - mean2) ** 2 for x in b), 0.0) / (n2 - 1)
     if var1 == 0.0 and var2 == 0.0:
         return (0.0, 1.0) if mean1 == mean2 else (None, None)
     se2 = var1 / n1 + var2 / n2
@@ -114,6 +119,39 @@ class TestWelch:
         for k in (512, 600, 1000):
             scaled = welch_t([math.ldexp(x, -k) for x in a], [math.ldexp(x, -k) for x in b])
             assert (result.statistic, result.p_value) == (scaled.statistic, scaled.p_value)
+
+    def test_sums_of_finite_squares_above_the_float_range_scale_exactly(self):
+        """Each square is finite but their sum is not: no OverflowError,
+        yet the samples are scaled as when a square overflows."""
+        a, b = [0.0, 1.3e154, 2.6e154], [1.0, 2.0, 3.0]
+        assert math.isinf(reduce(add, ((x - 1.3e154) ** 2 for x in a)))
+        result = welch_t(a, b)
+        scaled = welch_t([math.ldexp(x, -10) for x in a], [math.ldexp(x, -10) for x in b])
+        assert (result.statistic, result.p_value) == (1.7320508075688772, 0.22540333075851665)
+        assert (result.statistic, result.p_value) == (scaled.statistic, scaled.p_value)
+
+    @pytest.mark.parametrize("a,b", [
+        ([0.0, math.inf, 2.6e154], [1.0, 2.0, 3.0]),
+        ([1.0, 2.0, 3.0], [-math.inf, 1e300, 1.7e308]),
+        ([math.nan, 1.3e154, 2.6e154], [1.0, 2.0]),
+    ])
+    def test_a_non_finite_value_is_not_scaled(self, a, b):
+        """An inf or nan makes a variance nan; scaling it would recurse
+        forever."""
+        result = welch_t(a, b)
+        assert math.isnan(result.statistic) and math.isnan(result.p_value)
+        assert not welch_may_be_significant(a, b, 0.05)
+
+    def test_results_do_not_depend_on_the_builtin_sum(self, monkeypatch):
+        """Means and variances add in order, not with the builtin `sum`,
+        which compensates from Python 3.12 on."""
+        rng = random.Random(5)
+        samples = [([1.0, 1e100, 1.0, -1e100], [0.5, 2.0, 3.5])]
+        samples += [([rng.gauss(0.0, 1.0) * 10.0 ** rng.randint(-3, 3) for _ in range(9)],
+                     [rng.gauss(0.5, 2.0) for _ in range(7)]) for _ in range(50)]
+        expected = [welch_t(a, b) for a, b in samples]
+        monkeypatch.setattr(stattests, "sum", neumaier_sum, raising=False)
+        assert [welch_t(a, b) for a, b in samples] == expected
 
     @pytest.mark.parametrize("exponent", [-450, -300, -100, 100, 200])
     def test_power_of_two_scaling_keeps_every_bit(self, exponent):

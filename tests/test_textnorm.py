@@ -229,6 +229,24 @@ class TestStemMemo:
         assert textnorm._STEMS == {"running": "run"}
 
 
+    def test_tokens_with_digits_skip_stem(self, porter_calls, monkeypatch):
+        """Only a token of letters can be stemmed: the others never reach
+        `stem`, and the bag and the memo stay the same."""
+        stemmed = []
+        real = textnorm.stem
+
+        def counting_stem(token):
+            stemmed.append(token)
+            return real(token)
+
+        monkeypatch.setattr(textnorm, "stem", counting_stem)
+        config = NormalizationConfig(stoplist=frozenset())
+        assert normalize("f0x50 w12 2016 café running", config).counts == {
+            "f0x50": 1, "w12": 1, "2016": 1, "café": 1, "run": 1}
+        assert stemmed == ["café", "running"]
+        assert textnorm._STEMS == {"running": "run"}
+
+
 class TestNormalize:
     def test_stopword_removal_equalizes_queries(self):
         config = NormalizationConfig()
