@@ -91,19 +91,22 @@ _SUMMARY_ROWS = [
 ]
 
 
+COMBINED = "combined"
+
+
 def pair_summary(pairs_by_label) -> ReportTable:
     """Mean similarity and term-action counts per dataset label.
 
     Accepts either a list of pairs or a mapping label -> pairs; a
-    "combined" column is added when more than one label is given.
+    `COMBINED` column is added when more than one label is given.
     """
     if not isinstance(pairs_by_label, dict):
         pairs_by_label = {"all": list(pairs_by_label)}
     labels = list(pairs_by_label)
     if len(labels) > 1:
         pairs_by_label = dict(pairs_by_label)
-        pairs_by_label["combined"] = [p for lab in labels for p in pairs_by_label[lab]]
-        labels.append("combined")
+        pairs_by_label[COMBINED] = [p for lab in labels for p in pairs_by_label[lab]]
+        labels.append(COMBINED)
     if not any(pairs_by_label.values()):
         raise EmptyInputError("pair_summary requires at least one pair")
     table = ReportTable(title="Adjacent query pair summary", columns=labels)

@@ -12,8 +12,9 @@ a BM25 score overflows, before writing any table), a
 --config key that names no `analyze` option a config file can set (every
 option but --corpus and --config), a missing input file, malformed
 input (also a canonical corpus JSON with a missing key or a value of
-the wrong type, such as a term count that is not an integer of at least
-1), or input with nothing to analyze (such as any `analyze`
+the wrong type, such as a term count that is not an integer from 1 to
+2**53), `analyze --corpus` with corpora of different normalization configs,
+or input with nothing to analyze (such as any `analyze`
 on a corpus with no query pair, `sources` on one where no pair's earlier
 query has results, or `sources` with --docs where no such pair has a
 clicked document with text under --docstore-policy; `metrics` without
@@ -42,6 +43,7 @@ from .corpus import (
     ingest_trec_xml,
     merge,
     normalization_settings,
+    unique_name,
 )
 from .similarity import MissingDocstoreError, ScoreOverflowError
 from .textnorm import NormalizationConfig, load_stoplist
@@ -176,43 +178,31 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def _write_table(table, name, args, corpus):
-    table.header["normalization"] = _config_hash(corpus.config)
-    table.header["provenance"] = corpus.provenance
+def _write(text, filename, args):
+    """Write one report file under --out-dir and say so."""
     os.makedirs(args.out_dir, exist_ok=True)
-    paths = []
-    if args.format in ("csv", "both"):
-        path = os.path.join(args.out_dir, name + ".csv")
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(table.to_csv())
-        paths.append(path)
-    if args.format in ("md", "both"):
-        path = os.path.join(args.out_dir, name + ".md")
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(table.to_markdown())
-        paths.append(path)
-    for path in paths:
-        print(f"wrote {path}")
-
-
-def _write_series(rows, columns, name, args, corpus):
-    os.makedirs(args.out_dir, exist_ok=True)
-    path = os.path.join(args.out_dir, name + ".csv")
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(f"# normalization: {_config_hash(corpus.config)}\n")
-        f.write(f"# provenance: {corpus.provenance}\n")
-        f.write(",".join(columns) + "\n")
-        for row in rows:
-            f.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n")
-    print(f"wrote {path}")
-
-
-def _write_text(text, name, args):
-    os.makedirs(args.out_dir, exist_ok=True)
-    path = os.path.join(args.out_dir, name)
+    path = os.path.join(args.out_dir, filename)
     with open(path, "w", encoding="utf-8") as f:
         f.write(text)
     print(f"wrote {path}")
+
+
+def _write_table(table, name, args, corpus):
+    table.header["normalization"] = _config_hash(corpus.config)
+    table.header["provenance"] = corpus.provenance
+    if args.format in ("csv", "both"):
+        _write(table.to_csv(), name + ".csv", args)
+    if args.format in ("md", "both"):
+        _write(table.to_markdown(), name + ".md", args)
+
+
+def _write_series(rows, columns, name, args, corpus):
+    lines = [f"# normalization: {_config_hash(corpus.config)}",
+             f"# provenance: {corpus.provenance}",
+             ",".join(columns)]
+    lines += [",".join(repr(v) if isinstance(v, float) else str(v) for v in row)
+              for row in rows]
+    _write("".join(line + "\n" for line in lines), name + ".csv", args)
 
 
 def _notice(args, message) -> int:
@@ -237,10 +227,12 @@ def cmd_analyze(args) -> int:
     rc = 0
     if args.analysis == "pairs":
         if len(corpora) > 1:
-            by_label = {
-                c.provenance: actions.extract_pairs(c, args.include_test_queries)
-                for c in corpora
-            }
+            # A label that collides with another or with the combined
+            # column gets the prefix `merge` gives a colliding session id.
+            by_label = {}
+            for i, c in enumerate(corpora):
+                label = unique_name(c.provenance, i, {*by_label, actions.COMBINED})
+                by_label[label] = actions.extract_pairs(c, args.include_test_queries)
         else:
             by_label = {corpus.provenance: pairs}
         _write_table(actions.pair_summary(by_label), "pair_summary", args, corpus)
@@ -299,7 +291,7 @@ def cmd_analyze(args) -> int:
             "retention_by_scenario", args, corpus,
         )
         _write_table(scenarios.click_outcome_eval(records), "click_outcomes", args, corpus)
-        _write_text(scenarios.records_to_csv(records), "scenario_records.csv", args)
+        _write(scenarios.records_to_csv(records), "scenario_records.csv", args)
         if not corpus.docstore:
             print("notice: no docstore attached; clicked-document bits unavailable")
     elif args.analysis == "metrics":
@@ -316,7 +308,7 @@ def cmd_analyze(args) -> int:
             ["position", "mean_ndcg", "mean_nerr", "mean_map", "impressions"],
             "metrics_by_position", args, corpus,
         )
-        _write_text(ireval.metrics_csv(metrics), "impression_metrics.csv", args)
+        _write(ireval.metrics_csv(metrics), "impression_metrics.csv", args)
     return rc
 
 

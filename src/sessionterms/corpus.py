@@ -121,7 +121,6 @@ class Corpus:
     qrels: RelevanceJudgments | None = None
     docstore: dict = None
     provenance: str = ""
-    incomplete_impressions: frozenset = frozenset()
 
     def doc_terms(self, docid) -> TermBag | None:
         """Normalized term bag of a sidecar document, or None if absent."""
@@ -165,16 +164,17 @@ def _text(elem, tag, default=""):
     return (child.text or "") if child is not None else default
 
 
+def _query_element_text(query):
+    """The text of a query element: its nested <query>'s, or its own."""
+    nested = query.find("query")
+    return (nested if nested is not None else query).text or ""
+
+
 def _query_text(interaction):
     query = interaction.find("currentquery")
     if query is None:
         query = interaction.find("query")
-    if query is None:
-        return None
-    nested = query.find("query")
-    if nested is not None:
-        return nested.text or ""
-    return query.text or ""
+    return None if query is None else _query_element_text(query)
 
 
 def _number(convert, value, session_id, attribute):
@@ -283,11 +283,7 @@ def ingest_trec_xml(path, config: NormalizationConfig) -> Corpus:
         # test query of the session.
         trailing = elem.find("currentquery")
         if trailing is not None:
-            raw_query = (
-                (trailing.find("query").text or "")
-                if trailing.find("query") is not None
-                else (trailing.text or "")
-            )
+            raw_query = _query_element_text(trailing)
             impressions.append(
                 Impression(
                     position=len(impressions) + 1,
@@ -336,9 +332,10 @@ def ingest_qrels(path) -> RelevanceJudgments:
 def attach_documents(corpus: Corpus, directory) -> Corpus:
     """Load raw document texts named by docid from a sidecar directory.
 
-    Impressions whose clicked docids have no sidecar file are flagged
-    document-incomplete; unreadable files are skipped with a warning
-    recorded on the returned corpus provenance.
+    Unreadable files are skipped with a warning recorded on the returned
+    corpus provenance. Whether an impression's clicked documents all
+    have text is not stored: `sources.SourceIndex` derives it from the
+    docstore.
     """
     docstore = {}
     warnings = []
@@ -351,34 +348,37 @@ def attach_documents(corpus: Corpus, directory) -> Corpus:
                 docstore[name] = f.read()
         except OSError as exc:
             warnings.append(f"unreadable document {name}: {exc}")
-    incomplete = set()
-    for session in corpus.sessions:
-        for imp in session.impressions:
-            clicked_docids = {
-                imp.result_at(c.rank).docid for c in imp.clicks
-            }
-            if any(d not in docstore for d in clicked_docids):
-                incomplete.add((session.id, imp.position))
     provenance = corpus.provenance
     if warnings:
         provenance = provenance + " | " + "; ".join(warnings)
-    return replace(
-        corpus,
-        docstore=docstore,
-        provenance=provenance,
-        incomplete_impressions=frozenset(incomplete),
-    )
+    return replace(corpus, docstore=docstore, provenance=provenance)
+
+
+def unique_name(name, index, taken):
+    """`name`, prefixed with `index:` as often as it takes not to be in
+    `taken`."""
+    while name in taken:
+        name = f"{index}:{name}"
+    return name
 
 
 def merge(corpora, provenance="combined") -> Corpus:
-    """Concatenate corpora sharing a normalization config.
+    """Concatenate corpora sharing a normalization config; IngestError
+    when two configs differ.
 
-    Session ids are prefixed with the corpus index when they collide.
+    A colliding session id is prefixed with its corpus's index
+    (`unique_name`).
     """
     corpora = list(corpora)
     if not corpora:
         raise IngestError("cannot merge zero corpora")
     config = corpora[0].config
+    for corpus in corpora[1:]:
+        if corpus.config != config:
+            raise IngestError(
+                f"cannot merge corpora with different normalization configs: "
+                f"{corpora[0].provenance!r} and {corpus.provenance!r}"
+            )
     sessions = []
     seen = set()
     docstore = {}
@@ -388,7 +388,7 @@ def merge(corpora, provenance="combined") -> Corpus:
     for i, corpus in enumerate(corpora):
         for session in corpus.sessions:
             if session.id in seen:
-                session = replace(session, id=f"{i}:{session.id}")
+                session = replace(session, id=unique_name(session.id, i, seen))
             seen.add(session.id)
             sessions.append(session)
         if corpus.docstore:
@@ -403,9 +403,6 @@ def merge(corpora, provenance="combined") -> Corpus:
         qrels=RelevanceJudgments(grades) if any_qrels else None,
         docstore=docstore if any_docs else None,
         provenance=provenance,
-        incomplete_impressions=frozenset(
-            pair for c in corpora for pair in c.incomplete_impressions
-        ),
     ).validate()
 
 
@@ -506,9 +503,6 @@ def canonical_json_chunks(corpus: Corpus):
             b"{", (_dumps(d) + b":" + _dumps(docstore[d]) for d in sorted(docstore)), b"}")
     # The members whose keys sort between "docstore" and "sessions".
     middle = {
-        "incomplete_impressions": sorted(
-            [sid, pos] for sid, pos in corpus.incomplete_impressions
-        ),
         "normalization": normalization_settings(corpus.config),
         "provenance": corpus.provenance,
         "qrels": (
@@ -604,7 +598,4 @@ def _corpus_from_doc(doc) -> Corpus:
         qrels=qrels,
         docstore=doc.get("docstore"),
         provenance=doc.get("provenance", ""),
-        incomplete_impressions=frozenset(
-            (sid, pos) for sid, pos in doc.get("incomplete_impressions", [])
-        ),
     ).validate()

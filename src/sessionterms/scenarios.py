@@ -51,7 +51,6 @@ class ScenarioRecord:
     next_impression_clicked: bool
     ranked_documents: int  # M of the owning (earlier) impression
     click_count: int
-    cd_available: bool = True
 
     @property
     def scenario(self):
@@ -64,8 +63,9 @@ def assign_scenarios(pairs, corpus, docstore_policy: str = DROP):
     Membership is tested against the predecessor impression's source
     term sets. Pairs whose later query is a test query are rejected.
     With policy `drop`, pairs missing clicked-document text are skipped;
-    with `empty`, clicked-document membership is false and flagged.
-    Only clicked documents are normalized, each once per call.
+    with `empty` they are kept, and a clicked document without text adds
+    no term to the clicked-document set. Without a docstore no term is
+    `in_cd`. Only clicked documents are normalized, each once per call.
     """
     index = SourceIndex(corpus)
     records = []
@@ -79,20 +79,13 @@ def assign_scenarios(pairs, corpus, docstore_policy: str = DROP):
         for r, clicked in zip(imp.results, mask):
             (cs_terms if clicked else ncs_terms).update(r.terms.counts)
         cd_terms = set()
-        cd_available = True
-        if imp.clicks:
-            if corpus.docstore:
-                docs = [index.doc_bag(r.docid) for r, clicked in zip(imp.results, mask) if clicked]
-                if None in docs:
-                    if docstore_policy == DROP:
-                        continue
-                    cd_available = False
-                for bag in docs:
-                    if bag is not None:
-                        cd_terms.update(bag.counts)
-            else:
-                # no docstore at all: snippet-only run, cd bit unavailable
-                cd_available = False
+        if corpus.docstore:
+            docs = index.clicked_docs(imp)
+            if None in docs and docstore_policy == DROP:
+                continue
+            for bag in docs:
+                if bag is not None:
+                    cd_terms.update(bag.counts)
         clicked_next = bool(pair.after.clicks)
         m = len(imp.results)
         n_clicks = len(imp.clicks)
@@ -110,7 +103,6 @@ def assign_scenarios(pairs, corpus, docstore_policy: str = DROP):
                 next_impression_clicked=clicked_next,
                 ranked_documents=m,
                 click_count=n_clicks,
-                cd_available=cd_available,
             )
 
         for term in sorted(pair.qn):

@@ -57,7 +57,9 @@ class SourceIndex:
       query (all its snippets plus its clicked documents with text) and
       whether every clicked document has text.
 
-    The corpus must not change while the index is in use."""
+    `clicked_docs` is the one place that looks up an impression's
+    clicked documents. The corpus must not change while the index is in
+    use."""
 
     def __init__(self, corpus):
         self.corpus = corpus
@@ -69,6 +71,12 @@ class SourceIndex:
             self._docs[docid] = self.corpus.doc_terms(docid)
         return self._docs[docid]
 
+    def clicked_docs(self, impression) -> list:
+        """The bags of an impression's clicked documents in rank order,
+        None for a document without text."""
+        return [self.doc_bag(r.docid)
+                for r, clicked in zip(impression.results, clicked_mask(impression)) if clicked]
+
     def impressions(self, session) -> dict:
         """{position: (impression bag, complete)} of a session's non-test
         queries, in position order."""
@@ -77,8 +85,7 @@ class SourceIndex:
             for imp in session.impressions:
                 if imp.is_test_query:
                     continue
-                docs = [self.doc_bag(r.docid)
-                        for r, clicked in zip(imp.results, clicked_mask(imp)) if clicked]
+                docs = self.clicked_docs(imp)
                 bags = [r.terms for r in imp.results] + [d for d in docs if d is not None]
                 entries[imp.position] = (TermBag.union(bags), None not in docs)
             self._sessions[session.id] = entries

@@ -189,6 +189,29 @@ class TestAnalyze:
         text = (out / "pair_summary.csv").read_text()
         assert "# normalization:" in text
 
+    @pytest.mark.parametrize("logs, labels", [
+        (["y1/s.xml", "y2/s.xml"], ["s.xml", "1:s.xml"]),
+        (["combined", "x.xml"], ["0:combined", "x.xml"]),
+    ])
+    def test_pairs_keeps_same_named_logs_apart(self, logs, labels, workspace, tmp_path):
+        """Logs ingested from y1/s.xml and y2/s.xml share the label s.xml,
+        and a log named "combined" shares the combined column's; such a
+        label gets the prefix a colliding session id gets."""
+        corpora = []
+        for i, log in enumerate(logs):
+            (workspace / log).parent.mkdir(exist_ok=True)
+            (workspace / log).write_text(SESSION_XML)
+            corpora.append(str(workspace / f"{i}.json"))
+            assert main(["ingest", "--trec-xml", str(workspace / log), "--out", corpora[-1]]) == 0
+        out = tmp_path / "reports"
+        assert main(["analyze", "pairs", "--corpus", *corpora, "--out-dir", str(out),
+                     "--format", "csv"]) == 0
+        lines = (out / "pair_summary.csv").read_text().splitlines()
+        populations = [(row["column"], int(row["population"]))
+                       for row in csv.DictReader(line for line in lines if line[0] != "#")
+                       if row["row"] == "jaccard"]
+        assert populations == [(labels[0], 1), (labels[1], 1), ("combined", 2)]
+
     def test_csv_only_format(self, corpus_path, tmp_path):
         out = tmp_path / "reports"
         assert self.run_analyze("pairs", corpus_path, out, ["--format", "csv"]) == 0
@@ -435,6 +458,17 @@ def _bag_count(key, value):
     return edit
 
 
+def _mixed_normalization(workspace):
+    """Run `analyze pairs` on the workspace log ingested twice, the second
+    time with --no-stem."""
+    corpora = []
+    for name, flags in (("a.json", ()), ("c.json", ("--no-stem",))):
+        corpora.append(str(workspace / name))
+        assert main(["ingest", "--trec-xml", str(workspace / "sessions.xml"), *flags,
+                     "--out", corpora[-1]]) == 0
+    return ["analyze", "pairs", "--corpus", *corpora, "--out-dir", str(workspace / "reports")]
+
+
 def _config_not_object(workspace):
     run_ingest(workspace)
     (workspace / "defaults.json").write_text("[1]")
@@ -525,6 +559,7 @@ EXIT_2_CASES = {
     "canonical-json-snippet-count-negative": _canonical_json(_bag_count("terms", -1)),
     "canonical-json-snippet-count-true": _canonical_json(_bag_count("terms", True)),
     "canonical-json-snippet-count-huge": _canonical_json(_bag_count("terms", 10 ** 400)),
+    "corpora-with-different-normalization": _mixed_normalization,
     "missing-corpus-file": lambda workspace: [
         "analyze", "pairs", "--corpus", str(workspace / "missing.json"),
         "--out-dir", str(workspace / "reports"),

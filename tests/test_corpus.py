@@ -15,6 +15,7 @@ from sessionterms.corpus import (
     normalization_settings,
     to_canonical_json,
 )
+from sessionterms.sources import SourceIndex
 from sessionterms.textnorm import NormalizationConfig
 
 from conftest import make_corpus, make_impression
@@ -226,26 +227,48 @@ class TestJudgmentIndex:
         assert qrels.topic_pool("t") == [2, 1]
 
 
+def complete(corpus):
+    """{(session id, position): whether every clicked document has text}
+    of the corpus's non-test queries, as `SourceIndex` derives it."""
+    index = SourceIndex(corpus)
+    return {(s.id, pos): entry[1]
+            for s in corpus.sessions for pos, entry in index.impressions(s).items()}
+
+
 class TestAttachDocuments:
     def test_all_clicked_present(self, xml_corpus, tmp_path):
         docs = tmp_path / "docs"
         docs.mkdir()
         (docs / "doc-b").write_text("<html><body>full text</body></html>")
         corpus = attach_documents(xml_corpus, docs)
-        assert corpus.incomplete_impressions == frozenset()
+        assert complete(corpus) == {("40", 1): True, ("40", 2): True}
         assert "full" in corpus.doc_terms("doc-b")
 
     def test_missing_clicked_doc_flags_impression(self, xml_corpus, tmp_path):
         docs = tmp_path / "docs"
         docs.mkdir()
         corpus = attach_documents(xml_corpus, docs)
-        assert corpus.incomplete_impressions == frozenset({("40", 1)})
+        assert complete(corpus)[("40", 1)] is False
 
     def test_unclicked_impressions_not_flagged(self, xml_corpus, tmp_path):
         docs = tmp_path / "docs"
         docs.mkdir()
         corpus = attach_documents(xml_corpus, docs)
-        assert ("40", 2) not in corpus.incomplete_impressions
+        assert complete(corpus)[("40", 2)] is True
+
+    def test_completeness_follows_the_merged_docstore(self, plain_config):
+        """Each corpus's docstore holds only the other's clicked document;
+        merged, every clicked document has text, under the renamed
+        session id too."""
+        def corpus(docid, other):
+            imp = make_impression(1, "q", plain_config, snippets=["s"], docids=[docid],
+                                  clicks=[(1, 0, 5)])
+            return make_corpus([("1", None, [imp])], plain_config,
+                               docstore={other: "text of " + other})
+
+        a, b = corpus("doc-a", "doc-b"), corpus("doc-b", "doc-a")
+        assert complete(a) == complete(b) == {("1", 1): False}
+        assert complete(merge([a, b])) == {("1", 1): True, ("1:1", 1): True}
 
 
 def whole_document_json(corpus):
@@ -283,7 +306,6 @@ def whole_document_json(corpus):
         "qrels": (sorted([t, d, g] for (t, d), g in corpus.qrels.grades.items())
                   if corpus.qrels is not None else None),
         "docstore": corpus.docstore,
-        "incomplete_impressions": sorted([sid, pos] for sid, pos in corpus.incomplete_impressions),
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
 
@@ -299,7 +321,7 @@ class TestCanonicalJson:
         (docs / "doc-a").write_text("café \"quoted\" \\ naïve\n日本語 \u2028", encoding="utf-8")
         with_docs = replace(attach_documents(xml_corpus, docs),
                             qrels=RelevanceJudgments({("13", "doc-b"): 3, ("13", "doc-a"): 0}))
-        assert with_docs.incomplete_impressions
+        assert not all(complete(with_docs).values())
         non_ascii = make_corpus(
             [("Ω-1", "τ", [make_impression(1, "über café", plain_config, snippets=["naïve 日本"],
                                            docids=["дoc"], clicks=[(1, 0, 5)]),
@@ -325,6 +347,19 @@ class TestCanonicalJson:
         again = from_canonical_json(to_canonical_json(corpus))
         assert again == corpus
         assert again.docstore == {"doc-b": "document body text"}
+
+    def test_incomplete_impressions_key_is_ignored(self, xml_corpus, tmp_path):
+        """A corpus written with the former `incomplete_impressions` member
+        loads to the corpus without it, which is written without it."""
+        docs = tmp_path / "docs"
+        docs.mkdir()
+        corpus = attach_documents(xml_corpus, docs)
+        doc = json.loads(to_canonical_json(corpus))
+        assert "incomplete_impressions" not in doc
+        doc["incomplete_impressions"] = [["40", 1]]
+        loaded = from_canonical_json(json.dumps(doc).encode("utf-8"))
+        assert loaded == from_canonical_json(to_canonical_json(corpus)) == corpus
+        assert to_canonical_json(loaded) == to_canonical_json(corpus)
 
     def test_truncated_stream(self, xml_corpus):
         data = to_canonical_json(xml_corpus)
@@ -352,3 +387,16 @@ class TestValidation:
         b = make_corpus([("x", None, [imp])], plain_config)
         merged = merge([a, b])
         assert {s.id for s in merged.sessions} == {"x", "1:x"}
+        # A prefixed id that is taken too is prefixed again.
+        c = make_corpus([("2:x", None, [imp])], plain_config)
+        merged = merge([c, a, b])
+        assert [s.id for s in merged.sessions] == ["2:x", "x", "2:2:x"]
+
+    def test_merge_rejects_different_normalization(self, plain_config):
+        imp = make_impression(1, "q", plain_config, snippets=["s"])
+        a = make_corpus([("x", None, [imp])], plain_config, provenance="a.xml")
+        b = make_corpus([("y", None, [imp])], replace(plain_config, stemming_enabled=True),
+                        provenance="b.xml")
+        with pytest.raises(IngestError, match="normalization configs: 'a.xml' and 'b.xml'"):
+            merge([a, b])
+        assert len(merge([a, replace(b, config=plain_config)]).sessions) == 2

@@ -36,7 +36,7 @@ ANALYSES = ["pairs", "positions", "sources", "scenarios", "metrics"]
 GOLDEN = {
     "click_outcomes.csv": "0d2841e5a6047d3e521eae1c5b2a03e3462d0d0e96d289eae24911764873b10b",
     "click_outcomes.md": "4cb89b5d80c3cfda7e8430ec5ae828ea390caa85b7a89284a7722657e258cd5e",
-    "corpus.json": "8a0bc3d45996e984e8d09e1d55a95a0ff25049ed8334b362a087c85d62aa9f2f",
+    "corpus.json": "c9a7e22c515825467f603c0ffec151ce69ddf56b8f856689426b2229b5f1d0f2",
     "dwell_thresholds.csv": "f9d45db9410441386feaa4a20b1e2b0dec34197fc40153e40c242052d2c191f9",
     "fixed_query_similarity.csv": "684e395a2260d8055a4ebbe38a7021e500077bc617aafd2fa8be98a4e59bdc10",
     "impression_metrics.csv": "6aec93f7484aef41b59bd222557bf6813c5683c51983e7d3ef272f4d20f7f590",
@@ -83,7 +83,7 @@ GOLDEN_CUTOFF_5 = {
 GOLDEN_ENGLISH = {
     "click_outcomes.csv": "0544cb43b0ec42f56959931c3218e3dda28e4f2feb3aa03e16b9f3cbe013ad65",
     "click_outcomes.md": "2ff52f564ecedbcf40b52b59c20ef7d8dd4e0b9985d6f50d7eafdc619354bf66",
-    "corpus.json": "e5e713f68586edd7346ba4656d8a241d91422f62ec38806b9094e036978063dc",
+    "corpus.json": "a31b83722e70b36be64e9d37656a39cd1c2cf1656a3bc6e866ece8396ce1dfdc",
     "dwell_thresholds.csv": "facebcdf018cc559b7beba418ef2b74500357870ad52b8304a2c9ec09c10d902",
     "fixed_query_similarity.csv": "177ec8b599e424653dcff759dc82875fbac9860cd1ffe89189ae16a31fc6f31a",
     "impression_metrics.csv": "654a7f20f94db41a78011f3b64992e4db48fd38ae37003e55744e0e7a512582d",

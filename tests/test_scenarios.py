@@ -90,7 +90,11 @@ class TestAssignScenarios:
         corpus = make_corpus([("n", None, [imp1, imp2])], plain_config)
         records = assign_scenarios(extract_pairs(corpus), corpus)
         assert {r.scenario for r in records} <= {1, 5}
-        assert all(r.cd_available for r in records)
+        # With a docstore, a clickless impression misses no clicked
+        # document, so `drop` keeps its records.
+        with_docs = make_corpus([("n", None, [imp1, imp2])], plain_config,
+                                docstore={"other": "x"})
+        assert assign_scenarios(extract_pairs(with_docs), with_docs) == records
 
     def test_test_query_pairs_rejected(self, plain_config):
         imp1 = make_impression(1, "a", plain_config, snippets=["s"])
@@ -116,7 +120,6 @@ class TestAssignScenarios:
         records = assign_scenarios(extract_pairs(corpus, False), corpus,
                                    docstore_policy=EMPTY)
         assert records
-        assert all(not r.cd_available for r in records)
         assert all(not r.in_cd for r in records)
 
     def test_no_docstore_keeps_clicked_pairs(self, plain_config):
@@ -125,7 +128,7 @@ class TestAssignScenarios:
         corpus = make_corpus([("d", None, [imp1, imp2])], plain_config)
         records = assign_scenarios(extract_pairs(corpus, False), corpus)
         assert records
-        assert all(not r.cd_available for r in records)
+        assert all(not r.in_cd for r in records)
 
 
 @pytest.fixture(scope="module")
