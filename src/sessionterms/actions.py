@@ -95,13 +95,10 @@ COMBINED = "combined"
 
 
 def pair_summary(pairs_by_label) -> ReportTable:
-    """Mean similarity and term-action counts per dataset label.
-
-    Accepts either a list of pairs or a mapping label -> pairs; a
-    `COMBINED` column is added when more than one label is given.
+    """Mean similarity and term-action counts per dataset label, from a
+    mapping label -> pairs; a `COMBINED` column is added when more than
+    one label is given.
     """
-    if not isinstance(pairs_by_label, dict):
-        pairs_by_label = {"all": list(pairs_by_label)}
     labels = list(pairs_by_label)
     if len(labels) > 1:
         pairs_by_label = dict(pairs_by_label)
@@ -156,11 +153,10 @@ def length_by_position(corpus, session_length: int):
     ]
 
 
-def similarity_by_position(corpus, include_test_queries: bool = True,
-                           max_position: int = DEFAULT_MAX_POSITION):
+def similarity_by_position(pairs, max_position: int = DEFAULT_MAX_POSITION):
     """Mean jaccard/cosine of pairs grouped by position n = 1..max."""
     grouped = {}
-    for pair in extract_pairs(corpus, include_test_queries):
+    for pair in pairs:
         if pair.position > max_position:
             continue
         grouped.setdefault(pair.position, []).append(pair)

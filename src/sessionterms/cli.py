@@ -10,7 +10,9 @@ to 1, every --dwell-thresholds value a finite number, and each count a
 whole number of at least 1; `sources` also rejects a --k1 so large that
 a BM25 score overflows, before writing any table), a
 --config key that names no `analyze` option a config file can set (every
-option but --corpus and --config), a missing input file, malformed
+option but --corpus and --config), a missing input file, a path that
+names the wrong kind of file (a directory where a file is read or
+written, or a file where a directory is), malformed
 input (also a canonical corpus JSON with a missing key or a value of
 the wrong type, such as a term count that is not an integer from 1 to
 2**53), `analyze --corpus` with corpora of different normalization configs,
@@ -48,8 +50,6 @@ from .corpus import (
 from .similarity import MissingDocstoreError, ScoreOverflowError
 from .textnorm import NormalizationConfig, load_stoplist
 
-STOPLIST_ENV = "SESSIONTERMS_STOPLIST"
-
 
 def _config_hash(config: NormalizationConfig) -> str:
     doc = json.dumps(normalization_settings(config), sort_keys=True)
@@ -57,12 +57,8 @@ def _config_hash(config: NormalizationConfig) -> str:
 
 
 def _normalization_config(args) -> NormalizationConfig:
-    stoplist = None
-    path = args.stoplist or os.environ.get(STOPLIST_ENV)
-    if path:
-        stoplist = load_stoplist(path)
     return NormalizationConfig(
-        stoplist=stoplist,
+        stoplist=load_stoplist(args.stoplist) if args.stoplist else None,
         stemming_enabled=not args.no_stem,
         keep_numeric_tokens=not args.drop_numeric,
     )
@@ -248,7 +244,7 @@ def cmd_analyze(args) -> int:
             "query_length_by_position", args, corpus,
         )
         _write_series(
-            actions.similarity_by_position(corpus, args.include_test_queries, args.max_position),
+            actions.similarity_by_position(pairs, args.max_position),
             ["position", "mean_jaccard", "mean_cosine", "pairs"],
             "similarity_by_position", args, corpus,
         )
@@ -354,8 +350,9 @@ def build_parser() -> argparse.ArgumentParser:
         analyze.add_argument("--k1", type=_non_negative, default=1.2),
         analyze.add_argument("--b", type=_unit_interval, default=0.75),
         analyze.add_argument("--k-max", type=_positive_int, default=5),
-        analyze.add_argument("--max-position", type=_positive_int, default=9),
-        analyze.add_argument("--cutoff", type=_positive_int, default=10),
+        analyze.add_argument("--max-position", type=_positive_int,
+                             default=actions.DEFAULT_MAX_POSITION),
+        analyze.add_argument("--cutoff", type=_positive_int, default=ireval.DEFAULT_CUTOFF),
         analyze.add_argument(
             "--dwell-thresholds", type=_thresholds,
             default=",".join(map(str, sources.DEFAULT_DWELL_THRESHOLDS)),
@@ -397,7 +394,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (IngestError, synthgen.SpecError, actions.EmptyInputError, FileNotFoundError) as exc:
+    except (IngestError, synthgen.SpecError, actions.EmptyInputError, FileNotFoundError,
+            IsADirectoryError, NotADirectoryError, FileExistsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (MissingDocstoreError, ValueError, OSError) as exc:

@@ -76,10 +76,6 @@ class Session:
     topic_id: str | None
     impressions: tuple
 
-    @property
-    def has_test_query(self):
-        return bool(self.impressions) and self.impressions[-1].is_test_query
-
 
 class RelevanceJudgments:
     """Graded judgments keyed by (topic_id, docid); unjudged pairs grade 0.

@@ -20,6 +20,8 @@ MAX_GRADE = 4
 
 METRICS = ["NDCG", "NERR", "MAP"]
 
+ALPHA = 0.05  # Wilcoxon signed-rank significance level of the metric changes
+
 
 # math.log2(x) equals NumPy's log2 for every integer 2 <= x <= 1620, and
 # some larger x differ, so discounts from rank 1620 on keep NumPy's value.
@@ -84,14 +86,9 @@ def average_precision(grades, topic_relevant_count: int) -> float:
     return total / topic_relevant_count
 
 
-def impression_grades(impression, topic_id, qrels):
-    """Graded relevance of an impression's ranking via qrels."""
-    return [qrels.grade(topic_id, r.docid) for r in impression.results]
-
-
 def impression_metrics(impression, topic_id, qrels, cutoff: int = DEFAULT_CUTOFF):
-    """(NDCG@k, NERR@k, MAP) of one impression's ranking."""
-    grades = impression_grades(impression, topic_id, qrels)
+    """(NDCG@k, NERR@k, MAP) of one impression's ranking, graded by qrels."""
+    grades = [qrels.grade(topic_id, r.docid) for r in impression.results]
     pool = qrels.topic_pool(topic_id)
     return (
         ndcg_at_k(grades, pool, cutoff),
@@ -126,9 +123,9 @@ def metrics_by_position(metrics):
     return series
 
 
-def scenario_metric_eval(records, metrics, alpha: float = 0.05) -> ReportTable:
+def scenario_metric_eval(records, metrics) -> ReportTable:
     """Mean metric change from q_n to q_{n+1} per term action and
-    scenario, with Wilcoxon signed-rank significance at p < alpha.
+    scenario, with Wilcoxon signed-rank significance at p < ALPHA.
     A record counts only when `metrics` (from `score_impressions`) holds
     both impressions of its pair: its session has a topic and both
     rankings are non-empty."""
@@ -164,7 +161,7 @@ def scenario_metric_eval(records, metrics, alpha: float = 0.05) -> ReportTable:
                     row,
                     str(scenario),
                     mean,
-                    significant=result.p_value is not None and result.p_value < alpha,
+                    significant=result.p_value is not None and result.p_value < ALPHA,
                     p_value=result.p_value,
                     population=len(values),
                 )

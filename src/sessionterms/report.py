@@ -1,7 +1,8 @@
 """Labeled report tables with significance annotations.
 
-Tables serialize to a long-format CSV (lossless round trip) and to a
-human-readable Markdown mirror where significant cells are bold.
+Tables serialize to a long-format CSV, with floats that read back
+exactly, and to a human-readable Markdown mirror where significant
+cells are bold.
 """
 
 from __future__ import annotations
@@ -69,40 +70,6 @@ class ReportTable:
                     "" if cell.population is None else str(cell.population),
                 ])
         return out.getvalue()
-
-    @classmethod
-    def from_csv(cls, text: str) -> "ReportTable":
-        title = ""
-        header = {}
-        footnotes = []
-        data_lines = []
-        for line in text.splitlines():
-            if line.startswith("#"):
-                body = line[1:].strip()
-                key, _, value = body.partition(": ")
-                if key == "title":
-                    title = value
-                elif key == "note":
-                    footnotes.append(value)
-                else:
-                    header[key] = value
-            elif line.strip():
-                data_lines.append(line)
-        reader = csv.reader(data_lines)
-        next(reader)  # header row
-        table = cls(title=title, columns=[], footnotes=footnotes, header=header)
-        for row, col, value, sig, p_value, population in reader:
-            if col not in table.columns:
-                table.columns.append(col)
-            table.set(
-                row,
-                col,
-                float(value),
-                significant=sig == "1",
-                p_value=float(p_value) if p_value else None,
-                population=int(population) if population else None,
-            )
-        return table
 
     def to_markdown(self) -> str:
         lines = [f"## {self.title}", ""]

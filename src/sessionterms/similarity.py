@@ -13,10 +13,11 @@ which would change the last digit of a score with the interpreter.
 
 `build_stats` reads a source kind's instances from a
 `sources.SourceIndex`, so each impression and document bag is built
-once per index. The historical statistics come from one pass over each
-session's impression bags, with no historical bag built. A kind's
-statistics hold a df entry per distinct term of that kind; the document
-kind's is the largest, so callers build one kind's at a time.
+once per index; the statistics do not record the kind. The historical
+statistics come from one pass over each session's impression bags, with
+no historical bag built. A kind's statistics hold a df entry per
+distinct term of that kind; the document kind's is the largest, so
+callers build one kind's at a time.
 """
 
 from __future__ import annotations
@@ -63,10 +64,10 @@ class _IdfByDf(dict):
 
 @dataclass
 class CollectionStats:
-    """Per-source-kind collection statistics for IDF and length norms.
-    TFIDF idf values are memoized, so `N` must not change."""
+    """Collection statistics of one source kind, which the caller tracks,
+    for IDF and length norms. TFIDF idf values are memoized, so `N` must
+    not change."""
 
-    kind: SourceKind
     N: int
     df: dict
     avgdl: float
@@ -76,7 +77,7 @@ class CollectionStats:
         self._tfidf_idf = _IdfByDf(self.N)
 
     @classmethod
-    def from_bags(cls, bags, kind):
+    def from_bags(cls, bags):
         df = Counter()
         total_len = 0
         n = 0
@@ -84,7 +85,7 @@ class CollectionStats:
             n += 1
             total_len += bag.length
             df.update(bag.counts.keys())
-        return cls(kind=kind, N=n, df=df, avgdl=total_len / n if n else 0.0)
+        return cls(N=n, df=df, avgdl=total_len / n if n else 0.0)
 
     def idf_tfidf(self, term):
         """Plain ln(N/df); 0 for unseen terms."""
@@ -115,8 +116,8 @@ def build_stats(index, kind: SourceKind) -> CollectionStats:
                 for s in sessions for imp in s.impressions for r in imp.results)
         bags = (bag for bag in docs if bag is not None)
     else:
-        bags = (bag for s in sessions for bag, _ in index.impressions(s).values())
-    return CollectionStats.from_bags(bags, kind)
+        bags = (bag for s in sessions for bag in index.impressions(s).values())
+    return CollectionStats.from_bags(bags)
 
 
 def _historical_stats(index) -> CollectionStats:
@@ -127,7 +128,7 @@ def _historical_stats(index) -> CollectionStats:
     df = {}
     n = total_len = 0
     for session in index.corpus.sessions:
-        bags = [bag for bag, _ in index.impressions(session).values()]
+        bags = list(index.impressions(session).values())
         first = {}  # term -> its df within the session
         for weight, bag in enumerate(reversed(bags), start=1):
             first.update(dict.fromkeys(bag.counts, weight))  # an earlier bag overwrites
@@ -138,8 +139,7 @@ def _historical_stats(index) -> CollectionStats:
             running += bag.length
             total_len += running
         n += len(bags)
-    return CollectionStats(kind=SourceKind.HISTORICAL, N=n, df=df,
-                           avgdl=total_len / n if n else 0.0)
+    return CollectionStats(N=n, df=df, avgdl=total_len / n if n else 0.0)
 
 
 def _jaccard(common, size_a, size_b):

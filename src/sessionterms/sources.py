@@ -54,12 +54,11 @@ class SourceIndex:
 
     - `doc_bag`: a document's normalized bag, or None without its text;
     - `impressions`: per session, the impression bag of each non-test
-      query (all its snippets plus its clicked documents with text) and
-      whether every clicked document has text.
+      query (all its snippets plus its clicked documents with text).
 
     `clicked_docs` is the one place that looks up an impression's
-    clicked documents. The corpus must not change while the index is in
-    use."""
+    clicked documents, and so the one that tells whether each has text.
+    The corpus must not change while the index is in use."""
 
     def __init__(self, corpus):
         self.corpus = corpus
@@ -78,16 +77,15 @@ class SourceIndex:
                 for r, clicked in zip(impression.results, clicked_mask(impression)) if clicked]
 
     def impressions(self, session) -> dict:
-        """{position: (impression bag, complete)} of a session's non-test
-        queries, in position order."""
+        """{position: impression bag} of a session's non-test queries, in
+        position order."""
         if session.id not in self._sessions:
             entries = {}
             for imp in session.impressions:
                 if imp.is_test_query:
                     continue
-                docs = self.clicked_docs(imp)
-                bags = [r.terms for r in imp.results] + [d for d in docs if d is not None]
-                entries[imp.position] = (TermBag.union(bags), None not in docs)
+                docs = [d for d in self.clicked_docs(imp) if d is not None]
+                entries[imp.position] = TermBag.union([r.terms for r in imp.results] + docs)
             self._sessions[session.id] = entries
         return self._sessions[session.id]
 
@@ -112,13 +110,12 @@ class ScoredPair:
     source of its earlier impression. `snippets` and `documents` hold one
     row per result; a document row is None when its text is missing.
     Without a docstore `documents`, `impression` and `historical` are
-    None. `impression_complete`: every clicked document has text."""
+    None."""
 
     pair: QueryPair
     snippets: list
     documents: list | None = None
     impression: tuple | None = None
-    impression_complete: bool = False
     historical: tuple | None = None
 
 
@@ -141,7 +138,7 @@ def _bag_sides(index, kind, stats, pairs):
             yield [by_docid[r.docid] for r in pair.before.results]
     elif kind is SourceKind.IMPRESSION:
         for pair in pairs:
-            yield [BagSide(index.impressions(pair.session)[pair.position][0], stats)]
+            yield [BagSide(index.impressions(pair.session)[pair.position], stats)]
     else:
         session = None
         for pair in pairs:
@@ -151,8 +148,8 @@ def _bag_sides(index, kind, stats, pairs):
                 # order.
                 session = pair.session
                 impressions = index.impressions(session)
-                historical = dict(zip(impressions, accumulate(
-                    (bag for bag, _ in impressions.values()), TermBag.add)))
+                historical = dict(zip(impressions, accumulate(impressions.values(),
+                                                              TermBag.add)))
             yield [BagSide(historical[pair.position], stats)]
 
 
@@ -191,7 +188,7 @@ def score_pairs(pairs, corpus, k1: float = 1.2, b: float = 0.75) -> list:
         _kind_rows(index, kind, pairs, added, k1, b) for kind in
         (SourceKind.ALL_DOCUMENTS, SourceKind.IMPRESSION, SourceKind.HISTORICAL))
     return [
-        ScoredPair(pair, snip, docs, imp, index.impressions(pair.session)[pair.position][1], hist)
+        ScoredPair(pair, snip, docs, imp, hist)
         for pair, snip, docs, [imp], [hist]
         in zip(pairs, snippets, documents, impression, historical)
     ]
@@ -252,19 +249,21 @@ SNIPPET_ROWS = ["s(M)", "cs", "ncs"]
 SOURCE_ROWS = [*SNIPPET_ROWS, "ad", "cd", "ncd", "impression", "historical"]
 
 # Bold marks on Table-6-style rows: clicked variant versus the
-# non-clicked and "all" variants of the same source.
+# non-clicked and "all" variants of the same source, at p < ALPHA.
 _SIGNIFICANCE_PAIRS = {"cs": ("ncs", "s(M)"), "cd": ("ncd", "ad")}
+ALPHA = 0.01
 
 
-def source_comparison(scored, docstore_policy: str = DROP,
-                      alpha: float = 0.01) -> ReportTable:
+def source_comparison(scored, docstore_policy: str = DROP) -> ReportTable:
     """Mean added-term similarity per term source with Welch's t-test
     marks on the clicked variants; document rows are omitted (with a
     footnote) when no docstore is attached.
 
     The clicked and non-clicked rows are row subsets of each pair's
     snippet and document scores. Under the drop policy a pair counts in a
-    row only when all of that row's documents have text."""
+    row only when all of that row's documents have text; in the
+    impression row, when all of its clicked documents (the `cd` row's)
+    have text."""
     has_docs = any(s.documents is not None for s in scored)
     rows = SOURCE_ROWS if has_docs else SNIPPET_ROWS
     drop_incomplete = docstore_policy != EMPTY
@@ -288,8 +287,8 @@ def source_comparison(scored, docstore_policy: str = DROP,
             if drop_incomplete and None in chosen:
                 continue
             add_sample(label, [row for row in chosen if row is not None])
-        if s.impression_complete or not drop_incomplete:
-            add_sample("impression", [s.impression])
+            if want:  # the impression bag holds the clicked documents
+                add_sample("impression", [s.impression])
         add_sample("historical", [s.historical])
 
     columns = ["terms", "jaccard", "cosine", "bm25"]
@@ -307,7 +306,7 @@ def source_comparison(scored, docstore_policy: str = DROP,
         for col, values in zip(columns, by_column[label]):
             table.set(label, col, pairwise_mean(values), population=len(values))
     # A cell is significant when every comparison has a p-value and the
-    # largest is below alpha. The normal-tail bound rules most cells out
+    # largest is below ALPHA. The normal-tail bound rules most cells out
     # before any p-value, and with it scipy, is needed.
     for label, others in _SIGNIFICANCE_PAIRS.items():
         if label not in by_column or not all(other in by_column for other in others):
@@ -316,10 +315,10 @@ def source_comparison(scored, docstore_policy: str = DROP,
             if col == "terms":
                 continue
             comparisons = [(by_column[label][i], by_column[other][i]) for other in others]
-            if not all(welch_may_be_significant(a, b, alpha) for a, b in comparisons):
+            if not all(welch_may_be_significant(a, b, ALPHA) for a, b in comparisons):
                 continue
             p_values = [welch_t(a, b).p_value for a, b in comparisons]
-            if None not in p_values and max(p_values) < alpha:
+            if None not in p_values and max(p_values) < ALPHA:
                 cell = table.get(label, col)
                 table.set(label, col, cell.value, significant=True,
                           p_value=max(p_values), population=cell.population)

@@ -59,14 +59,12 @@ def column_means(rows) -> list:
 
 @dataclass(frozen=True)
 class TestResult:
+    """A test's outcome; `p_value` is None when the test does not apply."""
+
     statistic: float | None
     p_value: float | None
     n_effective: int
     method: str
-
-    @property
-    def applicable(self):
-        return self.p_value is not None
 
 
 def _sum(values):
@@ -140,8 +138,8 @@ def _welch(sample_a, sample_b):
 def welch_t(sample_a, sample_b) -> TestResult:
     """Welch's unequal-variance t-test.
 
-    Returns a not-applicable result when either sample has fewer than
-    two observations or both variances are zero.
+    Returns a result without a statistic or p-value when either sample
+    has fewer than two observations or both variances are zero.
     """
     t, df, n = _welch(sample_a, sample_b)
     if t is None:

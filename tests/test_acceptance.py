@@ -365,7 +365,8 @@ def test_criterion_8_randomized_invariants(report):
             if not imp.is_test_query:
                 for r in clicked:
                     full = full.add(corpus.doc_terms(r.docid))
-                ok &= impressions[imp.position] == (full, True)
+                ok &= impressions[imp.position] == full
+                ok &= None not in index.clicked_docs(imp)
     # metric delta antisymmetry: swapping the two rankings negates each delta
     for _ in range(3000):
         cases += 1

@@ -88,7 +88,7 @@ class TestTermActions:
 
 class TestPairSummary:
     def test_means_on_small_fixture(self, small_corpus):
-        table = pair_summary(extract_pairs(small_corpus))
+        table = pair_summary({"all": extract_pairs(small_corpus)})
         # pair 1: abc->abd (J=1/2, cos=2/3, ret 2, rem 1, add 1)
         # pair 2: abd->ae  (J=1/4, cos=1/sqrt6, ret 1, rem 2, add 1)
         assert table.value("jaccard", "all") == pytest.approx((1 / 2 + 1 / 4) / 2)
@@ -101,7 +101,7 @@ class TestPairSummary:
         assert table.value("all_terms_kept_fraction", "all") == 0.0
 
     def test_population_recorded(self, small_corpus):
-        table = pair_summary(extract_pairs(small_corpus))
+        table = pair_summary({"all": extract_pairs(small_corpus)})
         assert table.get("jaccard", "all").population == 2
 
     def test_combined_column(self, small_corpus, session40_corpus):
@@ -119,10 +119,10 @@ class TestPairSummary:
 
     def test_empty_input_raises(self):
         with pytest.raises(EmptyInputError):
-            pair_summary([])
+            pair_summary({"all": []})
 
     def test_all_kept_fraction_counts_no_removal_pairs(self, session40_corpus):
-        table = pair_summary(extract_pairs(session40_corpus))
+        table = pair_summary({"all": extract_pairs(session40_corpus)})
         # exactly one of the five pairs removes nothing (the verbatim repeat
         # and q1->q2 keeps "gun control"... check directly)
         pairs = extract_pairs(session40_corpus)
@@ -161,14 +161,14 @@ class TestPositionSeries:
             length_by_position(small_corpus, session_length=1)
 
     def test_similarity_by_position(self, small_corpus):
-        series = similarity_by_position(small_corpus)
+        series = similarity_by_position(extract_pairs(small_corpus))
         assert [s[0] for s in series] == [1, 2]
         assert series[0][1] == pytest.approx(1 / 2)
         assert series[1][1] == pytest.approx(1 / 4)
         assert series[0][3] == 1
 
     def test_similarity_by_position_max_cutoff(self, session40_corpus):
-        series = similarity_by_position(session40_corpus, max_position=3)
+        series = similarity_by_position(extract_pairs(session40_corpus), max_position=3)
         assert [s[0] for s in series] == [1, 2, 3]
 
     def test_fixed_query_similarity_self_position_is_one(self, session40_corpus):

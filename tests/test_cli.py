@@ -99,11 +99,10 @@ class TestIngest:
         assert (workspace / "a.json").read_bytes() == (workspace / "b.json").read_bytes()
 
     @pytest.mark.parametrize("inputs", ["no-qrels-no-docs", "non-ascii", "english"])
-    def test_output_is_the_canonical_json(self, tmp_path, monkeypatch, inputs):
+    def test_output_is_the_canonical_json(self, tmp_path, inputs):
         """The corpus `ingest` streams to disk has the bytes of
         `to_canonical_json`: without a docstore and qrels, with non-ASCII
         text, and for the golden English log."""
-        monkeypatch.delenv(cli.STOPLIST_ENV, raising=False)
         if inputs == "english":
             write_english_inputs(str(tmp_path))
         else:
@@ -486,6 +485,22 @@ def _analyze_flags(analysis, *flags):
     return argv
 
 
+def _ingest_with(flag, name):
+    """Ingest the workspace log with `flag` naming the workspace path
+    `name`."""
+    def argv(workspace):
+        return ["ingest", "--trec-xml", str(workspace / "sessions.xml"),
+                flag, str(workspace / name), "--out", str(workspace / "corpus.json")]
+    return argv
+
+
+def _out_dir_is_a_file(workspace):
+    """Run `analyze pairs` with --out-dir naming the workspace log."""
+    run_ingest(workspace)
+    return ["analyze", "pairs", "--corpus", str(workspace / "corpus.json"),
+            "--out-dir", str(workspace / "sessions.xml")]
+
+
 def _config_value(analysis, key, value, xml=None):
     """Run an analysis with one flag default taken from a --config file,
     on the workspace corpus or the one ingested from `xml`."""
@@ -568,6 +583,20 @@ EXIT_2_CASES = {
         "ingest", "--trec-xml", str(workspace / "missing.xml"),
         "--out", str(workspace / "corpus.json"),
     ],
+    "corpus-is-a-directory": lambda workspace: [
+        "analyze", "pairs", "--corpus", str(workspace / "docs"),
+        "--out-dir", str(workspace / "reports"),
+    ],
+    "xml-is-a-directory": lambda workspace: [
+        "ingest", "--trec-xml", str(workspace / "docs"), "--out", str(workspace / "corpus.json"),
+    ],
+    "qrels-is-a-directory": _ingest_with("--qrels", "docs"),
+    "stoplist-is-a-directory": _ingest_with("--stoplist", "docs"),
+    "docs-is-a-file": _ingest_with("--docs", "qrels.txt"),
+    "spec-is-a-directory": lambda workspace: [
+        "synth", "--spec", str(workspace / "docs"), "--out", str(workspace / "synthetic.json"),
+    ],
+    "out-dir-is-a-file": _out_dir_is_a_file,
 }
 
 

@@ -96,7 +96,7 @@ class TestIngestXml:
         path.write_text(TEST_QUERY_XML)
         corpus = ingest_trec_xml(path, NormalizationConfig())
         session = corpus.sessions[0]
-        assert session.has_test_query
+        assert session.impressions[-1].is_test_query
         assert session.impressions[-1].results == ()
         assert session.impressions[-1].raw_query == "final test query"
 
@@ -108,7 +108,7 @@ class TestIngestXml:
         path = tmp_path / "t.xml"
         path.write_text(xml)
         corpus = ingest_trec_xml(path, NormalizationConfig())
-        assert corpus.sessions[0].has_test_query
+        assert corpus.sessions[0].impressions[-1].is_test_query
 
     def test_negative_dwell_rejected(self, tmp_path):
         xml = SESSION_XML.replace('starttime="12.5" endtime="40.0"', 'starttime="50" endtime="40"')
@@ -231,8 +231,8 @@ def complete(corpus):
     """{(session id, position): whether every clicked document has text}
     of the corpus's non-test queries, as `SourceIndex` derives it."""
     index = SourceIndex(corpus)
-    return {(s.id, pos): entry[1]
-            for s in corpus.sessions for pos, entry in index.impressions(s).items()}
+    return {(s.id, imp.position): None not in index.clicked_docs(imp)
+            for s in corpus.sessions for imp in s.impressions if not imp.is_test_query}
 
 
 class TestAttachDocuments:

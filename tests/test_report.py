@@ -1,3 +1,5 @@
+import csv
+
 import pytest
 
 from sessionterms.report import Cell, ReportTable
@@ -40,26 +42,30 @@ class TestTableAccess:
         assert table.value("second", "b") is None
 
 
+def csv_cells(text):
+    """{(row, column): Cell} of a `to_csv` text, in file order, read with
+    `csv.reader`."""
+    reader = csv.reader(line for line in text.splitlines() if not line.startswith("#"))
+    next(reader)  # header row
+    return {(row, col): Cell(float(value), sig == "1", float(p_value) if p_value else None,
+                             int(population) if population else None)
+            for row, col, value, sig, p_value, population in reader}
+
+
 class TestCsvRoundTrip:
     def test_lossless(self):
         table = sample_table()
-        again = ReportTable.from_csv(table.to_csv())
-        assert again.title == table.title
-        assert again.header == {"config": "deadbeef01"}
-        assert again.footnotes == ["one footnote"]
-        assert again.rows == table.rows
-        assert again.columns == ["a", "b"]
-        for key, cell in table.cells.items():
-            other = again.cells[key]
-            assert other.value == cell.value  # repr round trip is exact
-            assert other.significant == cell.significant
-            assert other.p_value == cell.p_value
-            assert other.population == cell.population
+        text = table.to_csv()
+        assert text.splitlines()[:3] == [
+            "# title: Demo table", "# config: deadbeef01", "# note: one footnote"]
+        cells = csv_cells(text)
+        assert list(cells) == list(table.cells)  # rows, then columns, in order
+        assert cells == table.cells  # repr round trip is exact
 
     def test_float_values_survive_exactly(self):
         table = ReportTable(title="t", columns=["x"])
         table.set("r", "x", 0.1 + 0.2)  # not representable prettily
-        assert ReportTable.from_csv(table.to_csv()).value("r", "x") == 0.1 + 0.2
+        assert csv_cells(table.to_csv())[("r", "x")].value == 0.1 + 0.2
 
     def test_serialization_deterministic(self):
         assert sample_table().to_csv() == sample_table().to_csv()

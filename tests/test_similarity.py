@@ -11,7 +11,6 @@ from sessionterms.similarity import (
     CollectionStats,
     QuerySide,
     ScoreOverflowError,
-    SourceKind,
     bm25,
     cosine_tf,
     cosine_tfidf,
@@ -107,7 +106,7 @@ class TestFactoredScores:
         rng = random.Random(seed)
         vocab = [f"t{i}" for i in range(25)]
         stats = CollectionStats.from_bags(
-            [random_bag(rng, vocab, max_terms=10) for _ in range(30)], SourceKind.ALL_DOCUMENTS)
+            [random_bag(rng, vocab, max_terms=10) for _ in range(30)])
         extended = vocab + ["unseen1", "unseen2"]
         queries = [TermBag({})] + [random_bag(rng, extended, max_terms=4) for _ in range(40)]
         bags = [TermBag({})] + [random_bag(rng, extended, max_terms=14, max_count=6)
@@ -137,7 +136,7 @@ class TestFactoredScores:
                     assert side.scores(bag_side) == oracle_row(query, bag, stats, k1, b)
 
     def test_bm25_overflow_raises(self):
-        stats = CollectionStats(kind=SourceKind.ALL_DOCUMENTS, N=3, df={"t": 1}, avgdl=2.0)
+        stats = CollectionStats(N=3, df={"t": 1}, avgdl=2.0)
         long_doc = TermBag({"t": 1, "u": 9})  # length norm 1e308 * 4
         with pytest.raises(ScoreOverflowError, match="k1 = 1e\\+308"):
             bm25({"t"}, long_doc, stats, k1=1e308)
@@ -213,17 +212,13 @@ class TestCosineTfidf:
     def test_hand_derived_half(self):
         # all idfs equal ln 2, so weighting cancels:
         # (1,1,0)·(1,0,1) / (sqrt2 * sqrt2) = 1/2
-        stats = CollectionStats(
-            kind=SourceKind.ALL_SNIPPETS, N=4, df={"x": 2, "y": 2, "z": 2}, avgdl=2.0
-        )
+        stats = CollectionStats(N=4, df={"x": 2, "y": 2, "z": 2}, avgdl=2.0)
         a = TermBag({"x": 1, "y": 1})
         b = TermBag({"x": 1, "z": 1})
         assert cosine_tfidf(a, b, stats) == pytest.approx(0.5)
 
     def test_hand_derived_inv_sqrt2(self):
-        stats = CollectionStats(
-            kind=SourceKind.ALL_SNIPPETS, N=4, df={"x": 2, "y": 2}, avgdl=2.0
-        )
+        stats = CollectionStats(N=4, df={"x": 2, "y": 2}, avgdl=2.0)
         a = TermBag({"x": 1, "y": 1})
         b = TermBag({"x": 1})
         assert cosine_tfidf(a, b, stats) == pytest.approx(1 / math.sqrt(2))
@@ -231,9 +226,7 @@ class TestCosineTfidf:
     def test_ubiquitous_shared_term_contributes_nothing(self):
         # "x" appears in every document, so its idf is ln(N/N) = 0 and
         # the only shared term carries no weight
-        stats = CollectionStats(
-            kind=SourceKind.ALL_SNIPPETS, N=4, df={"x": 4, "y": 2, "z": 2}, avgdl=2.0
-        )
+        stats = CollectionStats(N=4, df={"x": 4, "y": 2, "z": 2}, avgdl=2.0)
         a = TermBag({"x": 1, "y": 1})
         b = TermBag({"x": 1, "z": 1})
         assert cosine_tfidf(a, b, stats) == 0.0
@@ -241,9 +234,7 @@ class TestCosineTfidf:
     def test_uniform_idf_reduces_to_tf_cosine(self):
         rng = random.Random(17)
         vocab = [f"t{i}" for i in range(8)]
-        stats = CollectionStats(
-            kind=SourceKind.ALL_SNIPPETS, N=10, df={t: 5 for t in vocab}, avgdl=3.0
-        )
+        stats = CollectionStats(N=10, df={t: 5 for t in vocab}, avgdl=3.0)
         for _ in range(100):
             a, b = random_bag(rng, vocab), random_bag(rng, vocab)
             assert cosine_tfidf(a, b, stats) == pytest.approx(cosine_tf(a, b), abs=1e-12)
@@ -252,7 +243,6 @@ class TestCosineTfidf:
         rng = random.Random(4)
         vocab = [f"t{i}" for i in range(8)]
         stats = CollectionStats(
-            kind=SourceKind.ALL_SNIPPETS,
             N=20,
             df={t: rng.randint(1, 20) for t in vocab},
             avgdl=3.0,
@@ -268,8 +258,7 @@ class TestCosineTfidf:
         rng = random.Random(8)
         vocab = [f"t{i}" for i in range(30)]
         stats = CollectionStats.from_bags(
-            [random_bag(rng, vocab, max_terms=12) for _ in range(40)], SourceKind.ALL_DOCUMENTS
-        )
+            [random_bag(rng, vocab, max_terms=12) for _ in range(40)])
         for _ in range(300):
             a = random_bag(rng, vocab + ["unseen"], max_terms=4)
             b = random_bag(rng, vocab + ["unseen"], max_terms=20, max_count=9)
@@ -280,45 +269,41 @@ class TestBm25:
     def test_hand_derived_value(self):
         # idf = ln(1 + (2-1+0.5)/1.5) = ln 2; dl = avgdl so the length
         # norm is exactly k1; score = ln2 * 2*(k1+1)/(2+k1)
-        stats = CollectionStats(kind=SourceKind.ALL_DOCUMENTS, N=2, df={"t": 1}, avgdl=3.0)
+        stats = CollectionStats(N=2, df={"t": 1}, avgdl=3.0)
         doc = TermBag({"t": 2, "u": 1})
         expected = math.log(2) * 2 * 2.2 / (2 + 1.2)
         assert bm25({"t"}, doc, stats) == pytest.approx(expected)
         assert bm25({"t"}, doc, stats) == pytest.approx(0.9530774, abs=1e-6)
 
     def test_no_overlap_is_zero(self):
-        stats = CollectionStats(kind=SourceKind.ALL_DOCUMENTS, N=2, df={"t": 1}, avgdl=3.0)
+        stats = CollectionStats(N=2, df={"t": 1}, avgdl=3.0)
         assert bm25({"q"}, TermBag({"t": 2}), stats) == 0.0
 
     def test_empty_doc_is_zero(self):
-        stats = CollectionStats(kind=SourceKind.ALL_DOCUMENTS, N=2, df={"t": 1}, avgdl=3.0)
+        stats = CollectionStats(N=2, df={"t": 1}, avgdl=3.0)
         assert bm25({"t"}, TermBag({}), stats) == 0.0
 
     def test_score_additive_over_query_terms(self):
-        stats = CollectionStats(
-            kind=SourceKind.ALL_DOCUMENTS, N=5, df={"a": 1, "b": 2}, avgdl=4.0
-        )
+        stats = CollectionStats(N=5, df={"a": 1, "b": 2}, avgdl=4.0)
         doc = TermBag({"a": 1, "b": 2, "c": 1})
         assert bm25({"a", "b"}, doc, stats) == pytest.approx(
             bm25({"a"}, doc, stats) + bm25({"b"}, doc, stats)
         )
 
     def test_tf_saturation_monotone(self):
-        stats = CollectionStats(kind=SourceKind.ALL_DOCUMENTS, N=10, df={"a": 2}, avgdl=5.0)
+        stats = CollectionStats(N=10, df={"a": 2}, avgdl=5.0)
         scores = [bm25({"a"}, TermBag({"a": tf, "pad": 1}), stats) for tf in [1, 2, 4, 8]]
         assert scores == sorted(scores)
         # diminishing returns
         assert scores[1] - scores[0] > scores[3] - scores[2]
 
     def test_rarer_terms_score_higher(self):
-        stats = CollectionStats(
-            kind=SourceKind.ALL_DOCUMENTS, N=100, df={"rare": 1, "common": 90}, avgdl=2.0
-        )
+        stats = CollectionStats(N=100, df={"rare": 1, "common": 90}, avgdl=2.0)
         doc = TermBag({"rare": 1, "common": 1})
         assert bm25({"rare"}, doc, stats) > bm25({"common"}, doc, stats)
 
     def test_nonnegative_idf_even_for_majority_terms(self):
-        stats = CollectionStats(kind=SourceKind.ALL_DOCUMENTS, N=10, df={"a": 9}, avgdl=2.0)
+        stats = CollectionStats(N=10, df={"a": 9}, avgdl=2.0)
         assert stats.idf_bm25("a") > 0.0
         assert bm25({"a"}, TermBag({"a": 1}), stats) > 0.0
 
@@ -326,12 +311,12 @@ class TestBm25:
 class TestCollectionStats:
     def test_from_bags(self):
         bags = [TermBag({"a": 2, "b": 1}), TermBag({"a": 1}), TermBag({"c": 3})]
-        stats = CollectionStats.from_bags(bags, SourceKind.ALL_SNIPPETS)
+        stats = CollectionStats.from_bags(bags)
         assert stats.N == 3
         assert stats.df == {"a": 2, "b": 1, "c": 1}
         assert stats.avgdl == pytest.approx(7 / 3)
 
     def test_idf_tfidf_values(self):
-        stats = CollectionStats(kind=SourceKind.ALL_SNIPPETS, N=8, df={"a": 2}, avgdl=1.0)
+        stats = CollectionStats(N=8, df={"a": 2}, avgdl=1.0)
         assert stats.idf_tfidf("a") == pytest.approx(math.log(4))
         assert stats.idf_tfidf("unseen") == 0.0

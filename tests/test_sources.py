@@ -110,8 +110,7 @@ class TestExtractSource:
             docstore={"doc-1-2": "dx1"},
         )
         index = SourceIndex(partial)
-        _, complete = index.impressions(partial.sessions[0])[imp.position]
-        assert not complete
+        assert None in index.clicked_docs(imp)
         missing = [r.docid for r, c in zip(imp.results, clicked_mask(imp))
                    if c and index.doc_bag(r.docid) is None]
         assert missing == ["doc-1-1"]
@@ -119,8 +118,9 @@ class TestExtractSource:
     def test_impression_kind_merges_snippets_and_clicked_docs(self, planted_corpus):
         session = planted_corpus.sessions[0]
         imp = session.impressions[0]
-        merged, complete = SourceIndex(planted_corpus).impressions(session)[imp.position]
-        assert complete
+        index = SourceIndex(planted_corpus)
+        merged = index.impressions(session)[imp.position]
+        assert None not in index.clicked_docs(imp)
         expected = TermBag()
         for r in imp.results:
             expected = expected.add(r.terms)
@@ -136,7 +136,7 @@ class TestHistorical:
     def test_prefix_monotone(self, planted_corpus):
         session = planted_corpus.sessions[0]
         index = SourceIndex(planted_corpus)
-        first, _ = index.impressions(session)[1]
+        first = index.impressions(session)[1]
         stats = build_stats(index, SourceKind.HISTORICAL)
         assert stats.N == 2
         # every term of the first bag is in both bags; z7 only in the second
@@ -243,7 +243,7 @@ class TestScoresEqualTheOracles:
                     for bag in bags]
                 bag, complete = impression_bag(corpus, imp)
                 assert s.impression == oracle_row(added, bag, stats[SourceKind.IMPRESSION], k1, b)
-                assert s.impression_complete == complete
+                assert (None not in index.clicked_docs(imp)) == complete
                 historical = chained_historical(corpus, s.pair.session, s.pair.position)
                 assert s.historical == oracle_row(added, historical,
                                                   stats[SourceKind.HISTORICAL], k1, b)
@@ -255,6 +255,8 @@ class TestScoresEqualTheOracles:
         assert shared_docs_corpus.doc_terms("d3").counts == {}
         listed = Counter(r.docid for p in pairs for r in p.before.results)
         assert listed["d1"] == 3 and listed["d2"] == 3 and listed["dmissing"] == 1
+        index = SourceIndex(shared_docs_corpus)  # dmissing is clicked
+        assert [p.session_id for p in pairs if None in index.clicked_docs(p.before)] == ["B"]
 
     def test_each_documents_norm_is_computed_once_per_call(self, shared_docs_corpus,
                                                            monkeypatch):
@@ -268,14 +270,22 @@ class TestScoresEqualTheOracles:
                     if corpus.doc_terms(d).counts}
         assert len(docid_of) == len(corpus.docstore) - 1
         computed = Counter()
-        weights = similarity._tfidf_weights
+        weights, build = similarity._tfidf_weights, sources.build_stats
+        document_stats = []
+
+        def tracking(index, kind):
+            stats = build(index, kind)
+            if kind is SourceKind.ALL_DOCUMENTS:
+                document_stats.append(stats)
+            return stats
 
         def counting(counts, stats):
             docid = docid_of.get(tuple(counts.items()))
-            if stats.kind is SourceKind.ALL_DOCUMENTS and docid is not None:
+            if any(stats is s for s in document_stats) and docid is not None:
                 computed[docid] += 1
             return weights(counts, stats)
 
+        monkeypatch.setattr(sources, "build_stats", tracking)
         monkeypatch.setattr(similarity, "_tfidf_weights", counting)
         pairs = extract_pairs(corpus)
         needed = {r.docid for p in pairs for r in p.before.results
@@ -337,9 +347,7 @@ def definitional_historical_stats(corpus):
     return CollectionStats.from_bags(
         [chained_historical(corpus, session, imp.position)
          for session in corpus.sessions for imp in session.impressions
-         if not imp.is_test_query],
-        SourceKind.HISTORICAL,
-    )
+         if not imp.is_test_query])
 
 
 class TestSharedSourceWork:
@@ -349,17 +357,17 @@ class TestSharedSourceWork:
         `test_every_row_equals_the_oracle` checks the historical rows
         `score_pairs` sums from them at every pair position."""
         corpus = synth_corpus()
-        assert any(s.has_test_query for s in corpus.sessions)
+        assert any(s.impressions[-1].is_test_query for s in corpus.sessions)
         index = SourceIndex(corpus)
         for session in corpus.sessions:
             bags = index.impressions(session)
             assert list(bags) == [imp.position for imp in session.impressions
                                   if not imp.is_test_query]
-            for position, (bag, complete) in bags.items():
-                expected, expected_complete = impression_bag(
-                    corpus, session.impressions[position - 1])
+            for position, bag in bags.items():
+                imp = session.impressions[position - 1]
+                expected, complete = impression_bag(corpus, imp)
                 assert list(bag.counts.items()) == list(expected.counts.items())
-                assert complete == expected_complete
+                assert (None not in index.clicked_docs(imp)) == complete
 
     def test_historical_stats_match_stats_of_historical_terms(self):
         corpus = synth_corpus()
@@ -397,32 +405,35 @@ class TestSharedSourceWork:
         assert set(vars(corpus)) == {f.name for f in fields(Corpus)}
 
     @pytest.mark.parametrize("policy", ["drop", "empty"])
-    def test_source_comparison_equals_per_row_scoring_exactly(self, policy):
+    def test_source_comparison_equals_per_row_scoring_exactly(self, policy,
+                                                              shared_docs_corpus):
         """Every row scored from its own extracted instances, as the
         definition reads; the row subsets of shared scores must give the
-        same floats."""
-        corpus = synth_corpus(sessions=10)
-        pairs = extract_pairs(corpus)
-        index = SourceIndex(corpus)
-        samples = {label: [] for label in SOURCE_ROWS}
-        for pair in pairs:
-            imp = pair.before
-            if not imp.results:
-                continue
-            for label in SOURCE_ROWS:
-                instances, complete, kind = row_instances(corpus, pair, label)
-                if (complete or policy == EMPTY) and instances:
-                    scores = np.asarray(
-                        definition_rows(pair, instances, build_stats(index, kind)))
-                    samples[label].append(scores.mean(axis=0))
-        table = source_comparison(score_pairs(pairs, corpus), policy)
-        assert set(table.rows) == {label for label, rows in samples.items() if rows}
-        for label in table.rows:
-            rows = samples[label]
-            means = np.asarray(rows, dtype=float)
-            for i, col in enumerate(["terms", "jaccard", "cosine", "bm25"]):
-                assert table.value(label, col) == float(means[:, i].mean())
-                assert table.get(label, col).population == len(rows)
+        same floats. `shared_docs_corpus` clicks a document without text,
+        which the drop policy keeps out of its pair's document and
+        impression rows."""
+        for corpus in (shared_docs_corpus, synth_corpus(sessions=10)):
+            pairs = extract_pairs(corpus)
+            index = SourceIndex(corpus)
+            samples = {label: [] for label in SOURCE_ROWS}
+            for pair in pairs:
+                imp = pair.before
+                if not imp.results:
+                    continue
+                for label in SOURCE_ROWS:
+                    instances, complete, kind = row_instances(corpus, pair, label)
+                    if (complete or policy == EMPTY) and instances:
+                        scores = np.asarray(
+                            definition_rows(pair, instances, build_stats(index, kind)))
+                        samples[label].append(scores.mean(axis=0))
+            table = source_comparison(score_pairs(pairs, corpus), policy)
+            assert set(table.rows) == {label for label, rows in samples.items() if rows}
+            for label in table.rows:
+                rows = samples[label]
+                means = np.asarray(rows, dtype=float)
+                for i, col in enumerate(["terms", "jaccard", "cosine", "bm25"]):
+                    assert table.value(label, col) == float(means[:, i].mean())
+                    assert table.get(label, col).population == len(rows)
 
     def test_analyze_sources_scores_each_pairs_snippets_once(self, tmp_path, monkeypatch):
         """`score_pairs` scores each source kind of each pair once, and
@@ -432,8 +443,14 @@ class TestSharedSourceWork:
         path.write_bytes(to_canonical_json(corpus))
         scored = Counter()
         similarities, added_bag = sources._similarities, sources._added_bag
+        build = sources.build_stats
         pair_of = {}  # id of an added-term bag -> (session id, position)
         bags = []  # keeps every added-term bag alive, so no id is reused
+        kinds_built = []  # (statistics, source kind), keeping each alive
+
+        def tracking(index, kind):
+            kinds_built.append((build(index, kind), kind))
+            return kinds_built[-1][0]
 
         def counting_added_bag(pair):
             bags.append(added_bag(pair))
@@ -441,9 +458,11 @@ class TestSharedSourceWork:
             return bags[-1]
 
         def counting(added, bags, stats, k1, b):
-            scored[(*pair_of[id(added)], stats.kind)] += 1
+            [kind] = [kind for built, kind in kinds_built if built is stats]
+            scored[(*pair_of[id(added)], kind)] += 1
             return similarities(added, bags, stats, k1, b)
 
+        monkeypatch.setattr(sources, "build_stats", tracking)
         monkeypatch.setattr(sources, "_added_bag", counting_added_bag)
         monkeypatch.setattr(sources, "_similarities", counting)
         assert main(["analyze", "sources", "--corpus", str(path),
@@ -467,15 +486,15 @@ class TestSharedSourceWork:
         def tracking(index, kind):
             stats = build(index, kind)
             gc.collect()
-            assert [ref().kind for ref in built if ref() is not None] == []
-            built.append(weakref.ref(stats))
+            assert [alive for alive, ref in built if ref() is not None] == []
+            built.append((kind, weakref.ref(stats)))
             return stats
 
         monkeypatch.setattr(sources, "build_stats", tracking)
         scored = score_pairs(extract_pairs(corpus), corpus)
         assert len(built) == 4 and scored
         gc.collect()
-        assert all(ref() is None for ref in built)
+        assert all(ref() is None for _, ref in built)
 
     def test_scores_do_not_depend_on_the_builtin_sum(self, plain_config, monkeypatch):
         """No score is a builtin `sum` of floats, which compensates from

@@ -108,7 +108,7 @@ class TestGenerate:
 
     def test_with_test_query(self):
         corpus = generate(GeneratorSpec(seed=5, sessions=5, with_test_query=True))
-        assert all(s.has_test_query for s in corpus.sessions)
+        assert all(s.impressions[-1].is_test_query for s in corpus.sessions)
 
     def test_force_click_guarantees_click(self):
         corpus = generate(GeneratorSpec(seed=5, sessions=10, click_prob=0.0,
