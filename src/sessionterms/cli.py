@@ -3,12 +3,14 @@ synthetic corpora. Reports are written as CSV plus Markdown mirrors;
 figure data series are emitted as CSV for external plotting.
 
 Exit codes: 0 success (including degraded runs with notices), 1
-analysis failure, 2 usage or input error: a bad flag (flag values are
-checked before any report is written, also those read from --config:
---k1 must be a finite number of at least 0, --b a finite number from 0
-to 1, every --dwell-thresholds value a finite number, and each count a
-whole number of at least 1; `sources` also rejects a --k1 so large that
-a BM25 score overflows, before writing any table), a
+analysis failure (also a broken install: a Welch p-value of `analyze
+sources` when scipy cannot be imported), 2 usage or input error: a bad
+flag (flag values are checked before any report is written, also those
+read from --config: --k1 must be a finite number of at least 0, --b a
+finite number from 0 to 1, every --dwell-thresholds value a finite
+number, and each count a whole number of at least 1; `sources` also
+rejects a --k1 so large that a BM25 score overflows, before writing any
+table), a
 --config key that names no `analyze` option a config file can set (every
 option but --corpus and --config), a missing input file, a path that
 names the wrong kind of file (a directory where a file is read or
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import hashlib
 import json
 import math
@@ -48,6 +51,7 @@ from .corpus import (
     unique_name,
 )
 from .similarity import MissingDocstoreError, ScoreOverflowError
+from .stattests import ScipyUnavailableError
 from .textnorm import NormalizationConfig, load_stoplist
 
 
@@ -125,6 +129,24 @@ def _config_default(parser, dest, value):
     parser.error(f"--config: invalid value {value!r} for {dest}")
 
 
+@contextlib.contextmanager
+def _frozen_build():
+    """Build a command's corpus with the cyclic garbage collector paused,
+    then freeze every object alive: a corpus holds no reference cycle,
+    so collections over it would find nothing, and once frozen the
+    command's later collections never traverse it. The collector is
+    enabled again only if it was before; `main` unfreezes before it
+    returns."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.freeze()
+        if enabled:
+            gc.enable()
+
+
 def _load_corpus(path) -> Corpus:
     with open(path, "rb") as f:
         return from_canonical_json(f.read())
@@ -148,15 +170,16 @@ def _write_corpus(corpus, path):
 
 def cmd_ingest(args) -> int:
     config = _normalization_config(args)
-    corpora = [ingest_trec_xml(path, config) for path in args.trec_xml]
-    corpus = corpora[0] if len(corpora) == 1 else merge(
-        corpora, provenance="+".join(c.provenance for c in corpora)
-    )
-    if args.qrels:
-        corpus = replace(corpus, qrels=ingest_qrels(args.qrels))
-    if args.docs:
-        corpus = attach_documents(corpus, args.docs)
-    _write_corpus(corpus, args.out)
+    with _frozen_build():
+        corpora = [ingest_trec_xml(path, config) for path in args.trec_xml]
+        corpus = corpora[0] if len(corpora) == 1 else merge(
+            corpora, provenance="+".join(c.provenance for c in corpora)
+        )
+        if args.qrels:
+            corpus = replace(corpus, qrels=ingest_qrels(args.qrels))
+        if args.docs:
+            corpus = attach_documents(corpus, args.docs)
+        _write_corpus(corpus, args.out)
     n_sessions = len(corpus.sessions)
     n_impressions = sum(
         1 for s in corpus.sessions for i in s.impressions if not i.is_test_query
@@ -215,10 +238,11 @@ def _require_pairs(pairs, analysis, kind="pair"):
 
 
 def cmd_analyze(args) -> int:
-    corpora = [_load_corpus(path) for path in args.corpus]
-    corpus = corpora[0] if len(corpora) == 1 else merge(
-        corpora, provenance="+".join(c.provenance for c in corpora)
-    )
+    with _frozen_build():
+        corpora = [_load_corpus(path) for path in args.corpus]
+        corpus = corpora[0] if len(corpora) == 1 else merge(
+            corpora, provenance="+".join(c.provenance for c in corpora)
+        )
     pairs = actions.extract_pairs(corpus, include_test_queries=args.include_test_queries)
     rc = 0
     if args.analysis == "pairs":
@@ -263,15 +287,20 @@ def cmd_analyze(args) -> int:
         except ScoreOverflowError as exc:
             args.parser.error(f"argument --k1: {exc}; use a smaller value")
         _require_pairs(scored, "sources", "pair whose earlier query has results")
-        curve = None  # computed first: a curve with no document exits 2 before any write
+        # Everything is computed before the first write: a curve with no
+        # document (exit 2) or a p-value without scipy (exit 1) leaves no
+        # report behind.
+        curve = None
         if corpus.docstore:
             curve = sources.dwell_threshold_curve(scored, args.dwell_thresholds,
                                                   args.docstore_policy)
-        _write_table(sources.rank_prefix_similarity(scored, args.k_max), "rank_prefix",
-                     args, corpus)
-        _write_table(sources.last_click_similarity(scored), "last_click", args, corpus)
-        _write_table(sources.source_comparison(scored, args.docstore_policy),
-                     "source_comparison", args, corpus)
+        tables = {
+            "rank_prefix": sources.rank_prefix_similarity(scored, args.k_max),
+            "last_click": sources.last_click_similarity(scored),
+            "source_comparison": sources.source_comparison(scored, args.docstore_policy),
+        }
+        for name, table in tables.items():
+            _write_table(table, name, args, corpus)
         if curve is not None:
             _write_series(curve, ["threshold", "mean_cosine", "surviving_docs"],
                           "dwell_thresholds", args, corpus)
@@ -311,8 +340,9 @@ def cmd_analyze(args) -> int:
 def cmd_synth(args) -> int:
     with open(args.spec, encoding="utf-8") as f:
         spec = synthgen.GeneratorSpec.from_json(f.read())
-    corpus = synthgen.generate(spec)
-    _write_corpus(corpus, args.out)
+    with _frozen_build():
+        corpus = synthgen.generate(spec)
+        _write_corpus(corpus, args.out)
     print(f"wrote {args.out}")
     return 0
 
@@ -398,9 +428,11 @@ def main(argv=None) -> int:
             IsADirectoryError, NotADirectoryError, FileExistsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (MissingDocstoreError, ValueError, OSError) as exc:
+    except (MissingDocstoreError, ScipyUnavailableError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        gc.unfreeze()
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ import json
 import os
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, replace
+from itertools import chain
 
 from .textnorm import NormalizationConfig, TermBag, normalize, strip_html
 
@@ -325,6 +326,28 @@ def ingest_qrels(path) -> RelevanceJudgments:
     return RelevanceJudgments(grades)
 
 
+def _is_file(entry) -> bool:
+    """`entry.is_file()`, False where it cannot tell, as `os.path.isfile`
+    gives for a path it cannot `stat`."""
+    try:
+        return entry.is_file()
+    except OSError:
+        return False
+
+
+def _read_bytes(path) -> bytes:
+    """A file's bytes, read through `os.read`: no Python file object per
+    file."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        chunks = []
+        while chunk := os.read(fd, 1 << 16):
+            chunks.append(chunk)
+    finally:
+        os.close(fd)
+    return b"".join(chunks)
+
+
 def attach_documents(corpus: Corpus, directory) -> Corpus:
     """Load raw document texts named by docid from a sidecar directory.
 
@@ -332,18 +355,26 @@ def attach_documents(corpus: Corpus, directory) -> Corpus:
     corpus provenance. Whether an impression's clicked documents all
     have text is not stored: `sources.SourceIndex` derives it from the
     docstore.
+
+    The directory is scanned once; `DirEntry.is_file` follows symlinks
+    as `os.path.isfile` does, without a `stat` per regular file. Each
+    file is read as bytes and decoded once, and its line ends are
+    translated as a text-mode read would: `\\r\\n` and a lone `\\r`
+    become `\\n`.
     """
+    with os.scandir(directory) as entries:
+        files = sorted((entry.name, entry.path) for entry in entries if _is_file(entry))
     docstore = {}
     warnings = []
-    for name in sorted(os.listdir(directory)):
-        full = os.path.join(directory, name)
-        if not os.path.isfile(full):
-            continue
+    for name, path in files:
         try:
-            with open(full, encoding="utf-8", errors="replace") as f:
-                docstore[name] = f.read()
+            text = _read_bytes(path).decode("utf-8", errors="replace")
         except OSError as exc:
             warnings.append(f"unreadable document {name}: {exc}")
+            continue
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        docstore[name] = text
     provenance = corpus.provenance
     if warnings:
         provenance = provenance + " | " + "; ".join(warnings)
@@ -411,31 +442,31 @@ def normalization_settings(config: NormalizationConfig) -> dict:
     }
 
 
-def _bag_to_json(bag: TermBag):
-    return {t: bag.counts[t] for t in sorted(bag.counts)}
-
-
 # A count above 2**53 has no exact float, and far larger ones overflow
 # the float sums of lengths and scores.
 _MAX_COUNT = 2 ** 53
 
 
-def _bag_from_json(counts) -> TermBag:
-    """The TermBag of a canonical JSON bag; TypeError unless every count
-    is an integer (not a boolean) from 1 to 2**53. Checked in C-level
-    passes: loading a corpus makes one bag per query and per snippet."""
-    values = counts.values()
+def _check_counts(bags):
+    """TypeError unless every canonical JSON bag is an object whose
+    counts are integers, not booleans, from 1 to 2**53. One pass of C
+    calls over all the corpus's counts: loading makes one bag per query
+    and per snippet."""
+    if bags and set(map(type, bags)) != {dict}:
+        raise TypeError("term bags must be JSON objects of term counts")
+    values = list(chain.from_iterable(map(dict.values, bags)))
     if values and (set(map(type, values)) != {int}
                    or min(values) < 1 or max(values) > _MAX_COUNT):
         raise TypeError("term counts must be integers from 1 to 2**53")
-    bag = TermBag()
-    bag.counts = counts
-    return bag
+
+
+# One encoder for every value written: `json.dumps` with these options
+# builds a new one per call.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
 def _dumps(value) -> bytes:
-    return json.dumps(value, sort_keys=True, separators=(",", ":"),
-                      ensure_ascii=False).encode("utf-8")
+    return _ENCODER.encode(value).encode("utf-8")
 
 
 def _session_to_json(s: Session) -> dict:
@@ -446,7 +477,7 @@ def _session_to_json(s: Session) -> dict:
             {
                 "position": imp.position,
                 "raw_query": imp.raw_query,
-                "query_terms": _bag_to_json(imp.query_terms),
+                "query_terms": imp.query_terms.counts,
                 "results": [
                     {
                         "rank": r.rank,
@@ -454,7 +485,7 @@ def _session_to_json(s: Session) -> dict:
                         "docid": r.docid,
                         "title": r.title,
                         "snippet": r.snippet,
-                        "terms": _bag_to_json(r.terms),
+                        "terms": r.terms.counts,
                     }
                     for r in imp.results
                 ],
@@ -550,33 +581,30 @@ def _corpus_from_doc(doc) -> Corpus:
         stemming_enabled=norm["stemming_enabled"],
         keep_numeric_tokens=norm["keep_numeric_tokens"],
     )
+    bags = []  # every bag's counts, checked at once by `_check_counts`
+
+    def bag(counts) -> TermBag:
+        bags.append(counts)
+        terms = TermBag()
+        terms.counts = counts
+        return terms
+
     sessions = tuple(
         Session(
-            id=s["id"],
-            topic_id=s.get("topic_id"),
-            impressions=tuple(
+            s["id"],
+            s.get("topic_id"),
+            tuple(
                 Impression(
-                    position=imp["position"],
-                    raw_query=imp["raw_query"],
-                    query_terms=_bag_from_json(imp["query_terms"]),
-                    results=tuple(
-                        SnippetEntry(
-                            rank=r["rank"],
-                            url=r["url"],
-                            docid=r["docid"],
-                            title=r["title"],
-                            snippet=r["snippet"],
-                            terms=_bag_from_json(r["terms"]),
-                        )
+                    imp["position"],
+                    imp["raw_query"],
+                    bag(imp["query_terms"]),
+                    tuple(
+                        SnippetEntry(r["rank"], r["url"], r["docid"], r["title"], r["snippet"],
+                                     bag(r["terms"]))
                         for r in imp["results"]
                     ),
-                    clicks=tuple(
-                        ClickEvent(
-                            rank=c["rank"],
-                            order=c["order"],
-                            start_time=c["start_time"],
-                            end_time=c["end_time"],
-                        )
+                    tuple(
+                        ClickEvent(c["rank"], c["order"], c["start_time"], c["end_time"])
                         for c in imp["clicks"]
                     ),
                 )
@@ -585,6 +613,7 @@ def _corpus_from_doc(doc) -> Corpus:
         )
         for s in doc["sessions"]
     )
+    _check_counts(bags)
     qrels = None
     if doc.get("qrels") is not None:
         qrels = RelevanceJudgments({(t, d): g for t, d, g in doc["qrels"]})

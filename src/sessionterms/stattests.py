@@ -76,12 +76,21 @@ def _sum(values):
     return total
 
 
+class ScipyUnavailableError(Exception):
+    """scipy, which a Welch p-value needs, cannot be imported: the
+    install is broken, not the input."""
+
+
 def _t_sf_two_sided(t, df):
     """Two-sided tail probability of Student's t via the regularized
     incomplete beta function."""
     if df <= 0:
         return 1.0
-    from scipy.special import betainc  # deferred: only Welch p-values need scipy, ~0.3 s to import
+    try:
+        from scipy.special import betainc  # deferred: only Welch p-values need scipy, ~0.3 s to import
+    except ImportError as exc:
+        raise ScipyUnavailableError(
+            f"a Welch p-value needs scipy, which cannot be imported: {exc}") from exc
 
     x = df / (df + t * t)
     return float(betainc(df / 2.0, 0.5, x))

@@ -12,7 +12,6 @@ once per process.
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 
@@ -35,7 +34,8 @@ _ENTITY_RE = re.compile(r"&(#x?[0-9a-fA-F]+|[a-zA-Z]+);")
 
 
 class TermBag:
-    """Multiset of terms with strictly positive counts."""
+    """Multiset of terms with strictly positive counts. Its counts can
+    change, so it has no hash."""
 
     __slots__ = ("counts",)
 
@@ -48,8 +48,11 @@ class TermBag:
 
     @classmethod
     def from_tokens(cls, tokens):
+        counts = {}
+        for token in tokens:
+            counts[token] = counts.get(token, 0) + 1
         bag = cls()
-        bag.counts = dict(Counter(tokens))
+        bag.counts = counts
         return bag
 
     @property
@@ -90,9 +93,6 @@ class TermBag:
 
     def __eq__(self, other):
         return isinstance(other, TermBag) and self.counts == other.counts
-
-    def __hash__(self):
-        return hash(frozenset(self.counts.items()))
 
     def __repr__(self):
         return f"TermBag({self.counts!r})"

@@ -1,4 +1,5 @@
 import csv
+import gc
 import json
 import math
 import os
@@ -24,7 +25,7 @@ from sessionterms.sources import score_pairs
 from sessionterms.stattests import column_means
 from sessionterms.textnorm import NormalizationConfig
 
-from test_golden import write_english_inputs
+from test_golden import write_english_inputs, write_inputs
 
 SESSION_XML = """<sessions>
   <session num="1">
@@ -457,6 +458,16 @@ def _bag_count(key, value):
     return edit
 
 
+def _bag_value(key, value):
+    """An edit that replaces the first impression's query bag (key
+    "query_terms") or its first result's bag ("terms") with `value`."""
+    def edit(doc):
+        imp = doc["sessions"][0]["impressions"][0]
+        (imp if key == "query_terms" else imp["results"][0])[key] = value
+        return doc
+    return edit
+
+
 def _mixed_normalization(workspace):
     """Run `analyze pairs` on the workspace log ingested twice, the second
     time with --no-stem."""
@@ -574,6 +585,8 @@ EXIT_2_CASES = {
     "canonical-json-snippet-count-negative": _canonical_json(_bag_count("terms", -1)),
     "canonical-json-snippet-count-true": _canonical_json(_bag_count("terms", True)),
     "canonical-json-snippet-count-huge": _canonical_json(_bag_count("terms", 10 ** 400)),
+    "canonical-json-query-bag-list": _canonical_json(_bag_value("query_terms", ["gun", 1])),
+    "canonical-json-snippet-bag-string": _canonical_json(_bag_value("terms", "gun control")),
     "corpora-with-different-normalization": _mixed_normalization,
     "missing-corpus-file": lambda workspace: [
         "analyze", "pairs", "--corpus", str(workspace / "missing.json"),
@@ -613,6 +626,72 @@ def test_bad_input_exits_2_with_one_error_line(case, workspace, capsys):
     assert "Traceback" not in err
     assert len([line for line in err.splitlines() if "error:" in line]) == 1, err
     assert not (workspace / "reports").exists()  # fails before writing any table
+
+
+@pytest.mark.parametrize("case", sorted(c for c in EXIT_2_CASES if "-count-" in c or "-bag-" in c))
+def test_bad_term_bag_says_what_a_bag_holds(case, workspace, capsys):
+    argv = EXIT_2_CASES[case](workspace)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert (("term counts must be integers from 1 to 2**53" if "-count-" in case
+             else "term bags must be JSON objects of term counts")
+            in capsys.readouterr().err)
+
+
+class TestCollector:
+    """`main` builds a command's corpus with the cyclic collector paused
+    and the corpus frozen, and hands the collector back as it found it."""
+
+    @pytest.fixture(autouse=True)
+    def collector_restored(self):
+        enabled = gc.isenabled()
+        yield
+        gc.unfreeze()
+        if enabled:
+            gc.enable()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_ingest_and_analyze_restore_the_collector(self, workspace, monkeypatch, enabled):
+        during_load = []
+        load = cli.from_canonical_json
+
+        def recording(data):
+            during_load.append(gc.isenabled())
+            return load(data)
+
+        monkeypatch.setattr(cli, "from_canonical_json", recording)
+        (gc.enable if enabled else gc.disable)()
+        assert run_ingest(workspace) == 0
+        assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, 0)
+        assert main(["analyze", "pairs", "--corpus", str(workspace / "corpus.json"),
+                     "--out-dir", str(workspace / "reports")]) == 0
+        assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, 0)
+        assert during_load == [False]
+
+    def test_bad_canonical_json_restores_the_collector(self, workspace, capsys):
+        argv = EXIT_2_CASES["canonical-json-query-count-half"](workspace)
+        gc.enable()
+        assert main(argv) == 2
+        assert gc.isenabled() and gc.get_freeze_count() == 0
+
+
+def test_sources_without_scipy_exits_1_before_any_report(tmp_path, monkeypatch, capsys):
+    """On the golden log, `analyze sources` needs a Welch p-value. When
+    scipy cannot be imported it exits 1 with one error line naming scipy
+    and writes no report."""
+    write_inputs(str(tmp_path))
+    monkeypatch.chdir(tmp_path)
+    assert main(["ingest", "--trec-xml", "sessions.xml", "--qrels", "qrels.txt",
+                 "--docs", "docs", "--out", "corpus.json"]) == 0
+    monkeypatch.setitem(sys.modules, "scipy.special", None)
+    capsys.readouterr()
+    code = main(["analyze", "sources", "--corpus", "corpus.json", "--out-dir", "reports"])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert "Traceback" not in err
+    [line] = err.splitlines()
+    assert line.startswith("error: ") and "scipy" in line
+    assert not (tmp_path / "reports").exists()
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")

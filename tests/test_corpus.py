@@ -270,6 +270,46 @@ class TestAttachDocuments:
         assert complete(a) == complete(b) == {("1", 1): False}
         assert complete(merge([a, b])) == {("1", 1): True, ("1:1", 1): True}
 
+    def test_texts_equal_a_text_mode_read(self, xml_corpus, tmp_path):
+        """Each document's text is what a text-mode UTF-8 read with
+        `errors="replace"` returns, in sorted name order: line ends,
+        invalid bytes, a BOM and an empty file included. A subdirectory,
+        a dangling symlink and a symlink loop are skipped; a symlink to a
+        file is read."""
+        docs = tmp_path / "docs"
+        docs.mkdir()
+        files = {
+            "crlf": b"one\r\ntwo\r\n",
+            "lone-cr": b"one\rtwo\r\rthree",
+            "trailing-cr": b"text\r",
+            "cr-before-crlf": b"a\r\r\nb\n\r",
+            "invalid-utf8": b"caf\xc3 \xff\xfe ok \xe2\x82\r\n end \xe2",
+            "bom": b"\xef\xbb\xbfwith bom\n",
+            "empty": b"",
+            # a CRLF across the text-mode reader's 8192-byte chunk edge,
+            # and more than one 64 KiB read
+            "long": b"x" * 8191 + b"\r\n" + "é".encode() * 40000 + b"\r",
+            "B-upper": b"sorted before lower case",
+        }
+        for name, data in files.items():
+            (docs / name).write_bytes(data)
+        (docs / "subdir").mkdir()
+        (docs / "subdir" / "inner").write_text("not a document")
+        (docs / "link").symlink_to(docs / "crlf")
+        (docs / "dangling").symlink_to(tmp_path / "missing")
+        (docs / "loop").symlink_to(docs / "loop")
+        names = sorted([*files, "link"])
+        expected = {}
+        for name in names:
+            with open(docs / name, encoding="utf-8", errors="replace") as f:
+                expected[name] = f.read()
+        docstore = attach_documents(xml_corpus, docs).docstore
+        assert list(docstore) == names
+        assert docstore == expected
+        assert docstore["crlf"] == docstore["link"] == "one\ntwo\n"
+        assert docstore["lone-cr"] == "one\ntwo\n\nthree"
+        assert docstore["bom"] == "\ufeffwith bom\n"
+
 
 def whole_document_json(corpus):
     """The canonical JSON by its definition: one `json.dumps` of the
@@ -315,7 +355,8 @@ class TestCanonicalJson:
         """The streamed chunks give the bytes of one `json.dumps` of the
         whole document: with and without a docstore and qrels, with an
         empty docstore and no session, with non-ASCII text and escapes,
-        and with an incomplete impression."""
+        with an incomplete impression, and with bags whose terms are not
+        in sorted order."""
         docs = tmp_path / "docs"
         docs.mkdir()
         (docs / "doc-a").write_text("café \"quoted\" \\ naïve\n日本語 \u2028", encoding="utf-8")
@@ -327,7 +368,15 @@ class TestCanonicalJson:
                                            docids=["дoc"], clicks=[(1, 0, 5)]),
                            make_impression(2, "über", plain_config)])],
             plain_config, docstore={"дoc": "ünïcode", "a\tb": ""}, provenance="crème")
-        corpora = [xml_corpus, with_docs, non_ascii,
+        unsorted = make_corpus(
+            [("u", None, [make_impression(1, "zebra apple zebra mango", plain_config,
+                                          snippets=["yak bee ant yak"]),
+                          make_impression(2, "zebra", plain_config)])],
+            plain_config)
+        first = unsorted.sessions[0].impressions[0]
+        for bag in (first.query_terms, first.results[0].terms):
+            assert list(bag.counts) != sorted(bag.counts)
+        corpora = [xml_corpus, with_docs, non_ascii, unsorted,
                    replace(xml_corpus, sessions=(), docstore={}),
                    replace(xml_corpus, qrels=RelevanceJudgments({}))]
         for corpus in corpora:
