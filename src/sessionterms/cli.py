@@ -4,7 +4,8 @@ figure data series are emitted as CSV for external plotting.
 
 Exit codes: 0 success (including degraded runs with notices), 1
 analysis failure (also a broken install: a Welch p-value of `analyze
-sources` when scipy cannot be imported), 2 usage or input error: a bad
+sources` when scipy cannot be imported, or a discount at rank 1620 or
+deeper of `analyze metrics` when numpy cannot be), 2 usage or input error: a bad
 flag (flag values are checked before any report is written, also those
 read from --config: --k1 must be a finite number of at least 0, --b a
 finite number from 0 to 1, every --dwell-thresholds value a finite
@@ -51,7 +52,7 @@ from .corpus import (
     unique_name,
 )
 from .similarity import MissingDocstoreError, ScoreOverflowError
-from .stattests import ScipyUnavailableError
+from .stattests import MissingDependencyError
 from .textnorm import NormalizationConfig, load_stoplist
 
 
@@ -129,24 +130,6 @@ def _config_default(parser, dest, value):
     parser.error(f"--config: invalid value {value!r} for {dest}")
 
 
-@contextlib.contextmanager
-def _frozen_build():
-    """Build a command's corpus with the cyclic garbage collector paused,
-    then freeze every object alive: a corpus holds no reference cycle,
-    so collections over it would find nothing, and once frozen the
-    command's later collections never traverse it. The collector is
-    enabled again only if it was before; `main` unfreezes before it
-    returns."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        gc.freeze()
-        if enabled:
-            gc.enable()
-
-
 def _load_corpus(path) -> Corpus:
     with open(path, "rb") as f:
         return from_canonical_json(f.read())
@@ -170,16 +153,15 @@ def _write_corpus(corpus, path):
 
 def cmd_ingest(args) -> int:
     config = _normalization_config(args)
-    with _frozen_build():
-        corpora = [ingest_trec_xml(path, config) for path in args.trec_xml]
-        corpus = corpora[0] if len(corpora) == 1 else merge(
-            corpora, provenance="+".join(c.provenance for c in corpora)
-        )
-        if args.qrels:
-            corpus = replace(corpus, qrels=ingest_qrels(args.qrels))
-        if args.docs:
-            corpus = attach_documents(corpus, args.docs)
-        _write_corpus(corpus, args.out)
+    corpora = [ingest_trec_xml(path, config) for path in args.trec_xml]
+    corpus = corpora[0] if len(corpora) == 1 else merge(
+        corpora, provenance="+".join(c.provenance for c in corpora)
+    )
+    if args.qrels:
+        corpus = replace(corpus, qrels=ingest_qrels(args.qrels))
+    if args.docs:
+        corpus = attach_documents(corpus, args.docs)
+    _write_corpus(corpus, args.out)
     n_sessions = len(corpus.sessions)
     n_impressions = sum(
         1 for s in corpus.sessions for i in s.impressions if not i.is_test_query
@@ -238,11 +220,10 @@ def _require_pairs(pairs, analysis, kind="pair"):
 
 
 def cmd_analyze(args) -> int:
-    with _frozen_build():
-        corpora = [_load_corpus(path) for path in args.corpus]
-        corpus = corpora[0] if len(corpora) == 1 else merge(
-            corpora, provenance="+".join(c.provenance for c in corpora)
-        )
+    corpora = [_load_corpus(path) for path in args.corpus]
+    corpus = corpora[0] if len(corpora) == 1 else merge(
+        corpora, provenance="+".join(c.provenance for c in corpora)
+    )
     pairs = actions.extract_pairs(corpus, include_test_queries=args.include_test_queries)
     rc = 0
     if args.analysis == "pairs":
@@ -340,9 +321,8 @@ def cmd_analyze(args) -> int:
 def cmd_synth(args) -> int:
     with open(args.spec, encoding="utf-8") as f:
         spec = synthgen.GeneratorSpec.from_json(f.read())
-    with _frozen_build():
-        corpus = synthgen.generate(spec)
-        _write_corpus(corpus, args.out)
+    corpus = synthgen.generate(spec)
+    _write_corpus(corpus, args.out)
     print(f"wrote {args.out}")
     return 0
 
@@ -402,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
+def _run(argv) -> int:
     parser = build_parser()
     # --config supplies defaults; explicit flags take precedence, so the
     # first pass only finds the file and the second parses with its values.
@@ -428,12 +408,35 @@ def main(argv=None) -> int:
             IsADirectoryError, NotADirectoryError, FileExistsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (MissingDocstoreError, ScipyUnavailableError, ValueError, OSError) as exc:
+    except (MissingDocstoreError, MissingDependencyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+
+
+def main(argv=None) -> int:
+    """Run one command with the cyclic garbage collector paused. A
+    command's corpus, indexes and scores hold no reference cycle, so a
+    collection during the command would find nothing, yet walk every
+    object alive. The collector is enabled again on return only if it
+    was before."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
     finally:
-        gc.unfreeze()
+        if enabled:
+            gc.enable()
+
+
+def console_main() -> int:
+    """Entry point of the `sessionterms` script and of `python -m
+    sessionterms.cli`: `main`, then `gc.freeze()`, so the interpreter's
+    last collections at exit skip every object the command left alive."""
+    try:
+        return main()
+    finally:
+        gc.freeze()
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console_main())

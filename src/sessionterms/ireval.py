@@ -13,7 +13,12 @@ import math
 
 from .report import ReportTable
 from .scenarios import ADDED, EVAL_SCENARIOS, REMOVED, RETAINED
-from .stattests import column_means, pairwise_mean, wilcoxon_signed_rank
+from .stattests import (
+    MissingDependencyError,
+    column_means,
+    pairwise_mean,
+    wilcoxon_signed_rank,
+)
 
 DEFAULT_CUTOFF = 10
 MAX_GRADE = 4
@@ -31,8 +36,12 @@ _MATH_LOG2_EXACT_UPTO = 1620
 def _log2(x):
     if x <= _MATH_LOG2_EXACT_UPTO:
         return math.log2(x)
-    import numpy as np  # deferred: only ranks of 1620 and deeper need it
-
+    try:
+        import numpy as np  # deferred: only ranks of 1620 and deeper need it
+    except ImportError as exc:
+        raise MissingDependencyError(
+            f"the discount of rank {x - 1} needs numpy, which cannot be imported: {exc}"
+        ) from exc
     return float(np.log2(x))
 
 

@@ -123,19 +123,21 @@ def scenario_distribution(records) -> ReportTable:
         "added_pct", "added_docs", "added_clicks",
     ]
     table = ReportTable(title="Scenario distribution", columns=columns)
-    by_origin = {QUERY_TERM: [], ADDED_TERM: []}
+    # (origin, scenario) -> its records, in record order, from one pass
+    grouped = {}
+    totals = {QUERY_TERM: 0, ADDED_TERM: 0}
     for rec in records:
-        by_origin[rec.origin].append(rec)
+        grouped.setdefault((rec.origin, rec.scenario), []).append(rec)
+        totals[rec.origin] += 1
     for scenario in range(1, 9):
         for origin, prefix in ((QUERY_TERM, "query"), (ADDED_TERM, "added")):
-            pool = by_origin[origin]
-            subset = [r for r in pool if r.scenario == scenario]
-            if not pool:
+            subset = grouped.get((origin, scenario), [])
+            if not totals[origin]:
                 continue
             table.set(
                 str(scenario),
                 f"{prefix}_pct",
-                100.0 * len(subset) / len(pool),
+                100.0 * len(subset) / totals[origin],
                 population=len(subset),
             )
             if subset:
@@ -150,8 +152,8 @@ def scenario_distribution(records) -> ReportTable:
                     population=len(subset),
                 )
     table.footnotes.append(
-        f"query-term records: {len(by_origin[QUERY_TERM])}; "
-        f"added-term records: {len(by_origin[ADDED_TERM])}"
+        f"query-term records: {totals[QUERY_TERM]}; "
+        f"added-term records: {totals[ADDED_TERM]}"
     )
     return table
 

@@ -6,7 +6,9 @@ the query side (tf-idf weights and norm, sorted terms and their BM25
 idf) and the bag side (counts, token count, tf-idf norm). To score one
 query against many bags, build its `QuerySide` once and a `BagSide` per
 bag; a bag's norm is computed on first use, and only a bag that shares
-a term with the query needs it. The functions go through the same
+a term with the query needs it. A `RunningBagSide` is the side of a
+growing union of bags, whose norm re-adds only what a fold changed.
+The functions go through the same
 helpers, in the same float operations and order. Float sums are added
 in order by a loop: the builtin `sum` compensates from Python 3.12 on,
 which would change the last digit of a score with the interpreter.
@@ -26,8 +28,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import repeat
-from operator import mul
+from itertools import accumulate, islice, repeat
+from operator import add, mul
 
 from .textnorm import TermBag
 
@@ -251,6 +253,57 @@ class BagSide:
         if self._norm is None:
             self._norm = _norm(_tfidf_weights(self.counts, self._stats))
         return self._norm
+
+
+class RunningBagSide:
+    """The `BagSide` of a running count-summed union of bags, grown one
+    bag at a time by `fold`: after each fold it is the side of the bags
+    folded so far chained with `TermBag.add`, with the same term order,
+    counts, token count and norm bits.
+
+    It keeps each term's squared tf-idf weight and the in-order running
+    sums of those squares that are still valid. A fold changes the
+    squares of the terms it touches and appends its new terms, so only
+    the sums from the first changed term on are dropped; `norm` adds the
+    rest in order, the same float operations `_norm` would do."""
+
+    __slots__ = ("counts", "length", "_stats", "_index", "_squares", "_sums")
+
+    def __init__(self, stats: CollectionStats):
+        self.counts = {}
+        self.length = 0
+        self._stats = stats
+        self._index = {}  # term -> its place in `counts`
+        self._squares = []  # (count * idf)^2 per term, in `counts` order
+        self._sums = []  # running sums of `_squares`, for a prefix of them
+
+    def fold(self, bag: TermBag):
+        counts, index, squares = self.counts, self._index, self._squares
+        df, idf = self._stats.df, self._stats._tfidf_idf
+        first = len(squares)
+        for term, count in bag.counts.items():
+            i = index.get(term)
+            if i is None:
+                index[term] = len(squares)
+                counts[term] = count
+                w = count * idf[df.get(term, 0)]
+                squares.append(w * w)
+            else:
+                count = counts[term] = counts[term] + count
+                w = count * idf[df.get(term, 0)]
+                squares[i] = w * w
+                if i < first:
+                    first = i
+        self.length += sum(bag.counts.values())
+        del self._sums[first:]
+
+    @property
+    def norm(self):
+        sums, squares = self._sums, self._squares
+        if len(sums) < len(squares):
+            total = sums[-1] if sums else 0.0
+            sums.extend(islice(accumulate(squares[len(sums):], add, initial=total), 1, None))
+        return math.sqrt(sums[-1]) if sums else 0.0
 
 
 class QuerySide:

@@ -9,14 +9,22 @@ every source; the four tables only aggregate those scores and apply the
 docstore policy. `score_pairs` scores one source kind at a time, so only
 that kind's collection statistics and bag sides are alive; the index
 and the rows of floats stay. Within a kind the added terms' side of the
-measures is computed once per pair, a document's side once per distinct
-docid, and historical bags once per session.
+measures is computed once per pair and a document's side once per
+distinct docid.
+
+The two prefix sources are grown from the previous prefix rather than
+built anew. A session's historical bags are one running bag, into which
+each impression bag is folded once; its tf-idf norm re-adds only the
+squares from the first term whose count a fold changed. The rank-prefix
+tables take every cut below 8 of a pair from one running sum of its
+snippet rows. Both give the bits of building each prefix on its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import add
 
 from .actions import EmptyInputError, QueryPair
 from .report import ReportTable
@@ -24,6 +32,7 @@ from .similarity import (
     BagSide,
     MissingDocstoreError,
     QuerySide,
+    RunningBagSide,
     SourceKind,
     build_stats,
 )
@@ -123,8 +132,13 @@ def _bag_sides(index, kind, stats, pairs):
     """Per pair, in pair order, the `BagSide`s under `stats` of its bags of
     one source kind: a snippet or a document (None without its text) per
     result, or its one impression or historical bag. A document's side is
-    built once per docid and historical bags once per session; both are
-    dropped with the generator."""
+    built once per docid and dropped with the generator.
+
+    The historical side is one `RunningBagSide` per session, into which
+    each impression bag is folded once, up to the pair's position; a
+    pair earlier in its session than the one before starts it afresh.
+    The side yielded for a pair is valid only until the next is asked
+    for, so it must be scored before then."""
     if kind is SourceKind.ALL_SNIPPETS:
         for pair in pairs:
             yield [BagSide(r.terms, stats) for r in pair.before.results]
@@ -140,17 +154,23 @@ def _bag_sides(index, kind, stats, pairs):
         for pair in pairs:
             yield [BagSide(index.impressions(pair.session)[pair.position], stats)]
     else:
+        # The historical bag of a position: the impression bags of the
+        # session's non-test queries up to it, summed in order.
         session = None
         for pair in pairs:
             if pair.session is not session:
-                # The historical bag of a position: the impression bags
-                # of the session's non-test queries up to it, summed in
-                # order.
                 session = pair.session
                 impressions = index.impressions(session)
-                historical = dict(zip(impressions, accumulate(impressions.values(),
-                                                              TermBag.add)))
-            yield [BagSide(historical[pair.position], stats)]
+                upto = {position: i for i, position in enumerate(impressions, start=1)}
+                bags = list(impressions.values())
+                folded = None
+            target = upto[pair.position]
+            if folded is None or target < folded:
+                side, folded = RunningBagSide(stats), 0
+            for bag in bags[folded:target]:
+                side.fold(bag)
+            folded = max(folded, target)
+            yield [side]
 
 
 def _kind_rows(index, kind, pairs, added, k1, b):
@@ -175,9 +195,9 @@ def score_pairs(pairs, corpus, k1: float = 1.2, b: float = 0.75) -> list:
     depends on: the added terms' bag per pair, and their side of every
     measure per pair and source kind (`_similarities`); a document's
     `BagSide`, with its token count and tf-idf norm, per distinct docid
-    in this call; historical bags per session; Jaccard and the rest per
-    bag. A bag's norm is computed only when the bag shares an added
-    term."""
+    in this call; each impression bag's share of the historical side
+    once per session; Jaccard and the rest per bag. A bag's norm is
+    computed only when the bag shares an added term."""
     pairs = [pair for pair in pairs if pair.before.results]
     added = [_added_bag(pair) for pair in pairs]
     index = SourceIndex(corpus)
@@ -197,14 +217,30 @@ def score_pairs(pairs, corpus, k1: float = 1.2, b: float = 0.75) -> list:
 _MEASURES = ["snippet_terms", "jaccard", "cosine", "bm25"]
 
 
+# `pairwise_mean` sums fewer values than this in order from 0.0.
+_IN_ORDER_CUTS = 8
+
+
 def _prefix_cut_similarity(scored, title, columns, cuts) -> ReportTable:
     """Mean similarity of added terms against snippet prefixes of the
     predecessor impression; `cuts(impression)` gives one prefix depth
-    per column."""
+    per column.
+
+    A cut below `_IN_ORDER_CUTS` divides a running sum of the pair's
+    snippet rows, added in order from 0.0 as `pairwise_mean` adds them,
+    so all short cuts of a pair share one pass; deeper cuts call
+    `pairwise_mean`."""
     per_col = {col: [] for col in columns}
+    zeros = (0.0,) * len(_MEASURES)
     for s in scored:
+        # running[c]: the per-measure sums of the first c snippet rows
+        running = list(accumulate(s.snippets[:_IN_ORDER_CUTS - 1],
+                                  lambda total, row: tuple(map(add, total, row)),
+                                  initial=zeros))
         for col, cut in zip(columns, cuts(s.pair.before)):
-            per_col[col].append([pairwise_mean(m) for m in zip(*s.snippets[:cut])])
+            per_col[col].append(
+                [total / cut for total in running[cut]] if cut < _IN_ORDER_CUTS
+                else [pairwise_mean(m) for m in zip(*s.snippets[:cut])])
     table = ReportTable(title=title, columns=columns)
     for col in columns:
         means = per_col[col]

@@ -76,8 +76,9 @@ def _sum(values):
     return total
 
 
-class ScipyUnavailableError(Exception):
-    """scipy, which a Welch p-value needs, cannot be imported: the
+class MissingDependencyError(Exception):
+    """A package that a computation needs (scipy for a Welch p-value,
+    numpy for a deep rank's log2 discount) cannot be imported: the
     install is broken, not the input."""
 
 
@@ -89,7 +90,7 @@ def _t_sf_two_sided(t, df):
     try:
         from scipy.special import betainc  # deferred: only Welch p-values need scipy, ~0.3 s to import
     except ImportError as exc:
-        raise ScipyUnavailableError(
+        raise MissingDependencyError(
             f"a Welch p-value needs scipy, which cannot be imported: {exc}") from exc
 
     x = df / (df + t * t)

@@ -639,40 +639,95 @@ def test_bad_term_bag_says_what_a_bag_holds(case, workspace, capsys):
 
 
 class TestCollector:
-    """`main` builds a command's corpus with the cyclic collector paused
-    and the corpus frozen, and hands the collector back as it found it."""
+    """`main` runs the whole command with the cyclic collector paused,
+    freezes nothing, and hands the collector back as it found it. The
+    script entry point freezes what is alive once the command is done."""
 
     @pytest.fixture(autouse=True)
     def collector_restored(self):
         enabled = gc.isenabled()
         yield
         gc.unfreeze()
-        if enabled:
-            gc.enable()
+        (gc.enable if enabled else gc.disable)()
 
     @pytest.mark.parametrize("enabled", [True, False])
     def test_ingest_and_analyze_restore_the_collector(self, workspace, monkeypatch, enabled):
-        during_load = []
-        load = cli.from_canonical_json
+        during = []
 
-        def recording(data):
-            during_load.append(gc.isenabled())
-            return load(data)
+        def recording(module, name):
+            function = getattr(module, name)
 
-        monkeypatch.setattr(cli, "from_canonical_json", recording)
+            def record(*args, **kwargs):
+                during.append((name, gc.isenabled()))
+                return function(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, record)
+
+        recording(cli, "ingest_trec_xml")
+        recording(cli, "_write_corpus")
+        recording(cli, "from_canonical_json")
+        recording(cli.actions, "extract_pairs")
+        recording(cli.sources, "score_pairs")
+        recording(cli.sources, "source_comparison")
         (gc.enable if enabled else gc.disable)()
         assert run_ingest(workspace) == 0
         assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, 0)
-        assert main(["analyze", "pairs", "--corpus", str(workspace / "corpus.json"),
+        assert main(["analyze", "sources", "--corpus", str(workspace / "corpus.json"),
                      "--out-dir", str(workspace / "reports")]) == 0
         assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, 0)
-        assert during_load == [False]
+        assert [name for name, _ in during] == [
+            "ingest_trec_xml", "_write_corpus", "extract_pairs",  # ingest's summary
+            "from_canonical_json", "extract_pairs", "score_pairs", "source_comparison"]
+        assert not any(on for _, on in during)
 
     def test_bad_canonical_json_restores_the_collector(self, workspace, capsys):
         argv = EXIT_2_CASES["canonical-json-query-count-half"](workspace)
         gc.enable()
         assert main(argv) == 2
         assert gc.isenabled() and gc.get_freeze_count() == 0
+
+    def test_usage_error_restores_the_collector(self, capsys):
+        gc.enable()
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "pairs", "--bogus"])
+        assert exc.value.code == 2
+        assert gc.isenabled() and gc.get_freeze_count() == 0
+
+    def test_script_entry_freezes_after_the_command(self, workspace, monkeypatch, capsys):
+        assert run_ingest(workspace) == 0
+        monkeypatch.setattr(sys, "argv", ["sessionterms", "analyze", "pairs", "--corpus",
+                                          str(workspace / "corpus.json"),
+                                          "--out-dir", str(workspace / "reports")])
+        gc.enable()
+        assert gc.get_freeze_count() == 0
+        assert cli.console_main() == 0
+        assert gc.isenabled() and gc.get_freeze_count() > 0
+
+    def test_garbage_left_does_not_grow_with_the_corpus(self, tmp_path, capsys):
+        """No command leaves reference cycles that grow with its corpus,
+        which a collector paused for the whole command would keep until
+        it returns: `gc.collect()` finds the same count after each
+        command at two corpus sizes. argparse's parser is cyclic, so the
+        count is not 0."""
+        found = {}
+        for sessions in (3, 3, 24):  # the first run also warms up lazy imports
+            spec = tmp_path / "spec.json"
+            spec.write_text(json.dumps({"seed": 3, "sessions": sessions, "session_length": 6,
+                                        "click_prob": 0.6, "with_test_query": True}))
+            corpus = str(tmp_path / "corpus.json")
+            commands = [["synth", "--spec", str(spec), "--out", corpus]]
+            commands += [["analyze", analysis, "--corpus", corpus,
+                          "--out-dir", str(tmp_path / "reports")]
+                         for analysis in ("pairs", "positions", "sources", "scenarios",
+                                          "metrics")]
+            counts = []
+            for argv in commands:
+                gc.collect()
+                assert main(argv) == 0
+                counts.append(gc.collect())
+            found[sessions] = counts
+        assert found[3] == found[24]
+        assert all(count > 0 for count in found[3])
 
 
 def test_sources_without_scipy_exits_1_before_any_report(tmp_path, monkeypatch, capsys):
@@ -691,6 +746,44 @@ def test_sources_without_scipy_exits_1_before_any_report(tmp_path, monkeypatch, 
     assert "Traceback" not in err
     [line] = err.splitlines()
     assert line.startswith("error: ") and "scipy" in line
+    assert not (tmp_path / "reports").exists()
+
+
+def _deep_ranking_xml(depth):
+    """One session of two queries whose first ranking lists `depth`
+    results."""
+    results = "".join(
+        f'<result rank="{r}"><url>u</url><docid>d{r}</docid><title>t</title>'
+        f"<snippet>word{r}</snippet></result>" for r in range(1, depth + 1))
+    return (
+        '<sessions><session num="1"><topic num="T"/>'
+        f"<interaction><currentquery>deep query</currentquery><results>{results}</results>"
+        "</interaction>"
+        "<interaction><currentquery>deep query more</currentquery><results>"
+        '<result rank="1"><url>u</url><docid>d1</docid><title>t</title>'
+        "<snippet>word1</snippet></result></results></interaction>"
+        "</session></sessions>")
+
+
+def test_metrics_without_numpy_exits_1_before_any_report(tmp_path, monkeypatch, capsys):
+    """A --cutoff of 2000 on a ranking of 1,700 results needs numpy's
+    log2 for the discounts from rank 1620 on. When numpy cannot be
+    imported, `analyze metrics` exits 1 with one error line naming numpy
+    and writes no report."""
+    (tmp_path / "sessions.xml").write_text(_deep_ranking_xml(1700))
+    (tmp_path / "qrels.txt").write_text("T 0 d1 1\nT 0 d1690 2\n")
+    monkeypatch.chdir(tmp_path)
+    assert main(["ingest", "--trec-xml", "sessions.xml", "--qrels", "qrels.txt",
+                 "--out", "corpus.json"]) == 0
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    capsys.readouterr()
+    code = main(["analyze", "metrics", "--corpus", "corpus.json", "--out-dir", "reports",
+                 "--cutoff", "2000"])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert "Traceback" not in err
+    [line] = err.splitlines()
+    assert line.startswith("error: ") and "numpy" in line
     assert not (tmp_path / "reports").exists()
 
 

@@ -27,10 +27,12 @@ from sessionterms.similarity import (
 )
 from sessionterms.sources import (
     EMPTY,
+    LAST_CLICK_COLUMNS,
     SNIPPET_ROWS,
     SOURCE_ROWS,
     SourceIndex,
     _added_bag,
+    _last_click_cuts,
     clicked_mask,
     dwell_threshold_curve,
     last_click_rank,
@@ -40,7 +42,7 @@ from sessionterms.sources import (
     source_comparison,
     total_dwell_by_docid,
 )
-from sessionterms.stattests import welch_t
+from sessionterms.stattests import pairwise_mean, welch_t
 from sessionterms.synthgen import GeneratorSpec, generate
 from sessionterms.textnorm import TermBag
 
@@ -539,6 +541,91 @@ class TestSharedSourceWork:
         score_pairs(extract_pairs(corpus), corpus)
         assert built == Counter(id(imp) for session in corpus.sessions
                                 for imp in session.impressions if not imp.is_test_query)
+
+
+def prefix_corpus(config, recurring, sessions=6, length=7, depth=10, seed=17):
+    """Sessions of `length` queries over rankings of `depth` results, with
+    words drawn at random so that the scores have many float digits.
+    Each query after the first adds words of the impression before it.
+    With `recurring`, a term of each session's first query is in every
+    impression, and older words come back too; without it, each
+    impression holds only words no earlier impression of its session
+    held."""
+    rng = random.Random(seed)
+    built = []
+    for s in range(sessions):
+        seen, shown, imps = [], [], []
+        for position in range(1, length + 1):
+            fresh = [f"s{s}p{position}w{i}" for i in range(depth)]
+            query = f"{fresh[0]} {fresh[1]}"
+            if position > 1:
+                query += " " + " ".join(rng.sample(shown, 3)) + (f" s{s}p1w0" if recurring else "")
+            pool = fresh + (seen if recurring else [])
+            snippets = [" ".join(rng.choice(pool) for _ in range(rng.randint(1, 8)))
+                        for _ in range(depth)]
+            if recurring:  # the first query's first term, in every impression
+                snippets[-1 if position == 1 else rng.randrange(depth)] += f" s{s}p1w0"
+            shown = sorted(set(" ".join(snippets).split()))
+            imps.append(make_impression(position, query, config, snippets=snippets,
+                                        clicks=[(rng.randint(1, depth), 0, 10)]))
+            seen += fresh
+        built.append((f"S{s}", None, imps))
+    return make_corpus(built, config, docstore={"unlisted": "text"})
+
+
+class TestIncrementalPrefixes:
+    """The historical bags and the rank prefixes are grown one step at a
+    time; each must keep the bits of the prefix built on its own."""
+
+    @pytest.mark.parametrize("recurring", [True, False])
+    def test_historical_rows_equal_the_measures_on_added_bags(self, plain_config, recurring):
+        corpus = prefix_corpus(plain_config, recurring)
+        index = SourceIndex(corpus)
+        bags = {s.id: list(index.impressions(s).values()) for s in corpus.sessions}
+        for session, session_bags in zip(corpus.sessions, bags.values()):
+            first_query_term = session.impressions[0].query_terms
+            held = [set(bag.counts) for bag in session_bags]
+            if recurring:
+                assert all(first_query_term.terms & terms for terms in held)
+            else:
+                assert all(not held[i] & held[j] for j in range(len(held)) for i in range(j))
+        stats = build_stats(index, SourceKind.HISTORICAL)
+        pairs = extract_pairs(corpus)
+        scored = score_pairs(pairs, corpus)
+        assert len(scored) == len(pairs) == 6 * 6
+        shared = 0
+        for s in scored:
+            historical = chained_historical(corpus, s.pair.session, s.pair.position)
+            [row] = definition_rows(s.pair, [historical], stats)
+            assert s.historical == row
+            shared += row[2] > 0.0
+        assert shared >= len(scored) // 2  # most rows need the bag's norm
+        # Pairs out of session order start the running bag afresh.
+        backwards = score_pairs(pairs[::-1], corpus)
+        assert [s.historical for s in backwards] == [s.historical for s in scored][::-1]
+
+    @pytest.mark.parametrize("recurring", [True, False])
+    def test_prefix_tables_equal_pairwise_means_at_every_cut(self, plain_config, recurring):
+        """Every cut from 1 to M = 10, and so both sides of the cut at 8
+        where `pairwise_mean` stops summing in order."""
+        corpus = prefix_corpus(plain_config, recurring, sessions=12)
+        scored = score_pairs(extract_pairs(corpus), corpus)
+        depth = 10
+        assert {len(s.snippets) for s in scored} == {depth}
+        table = rank_prefix_similarity(scored, k_max=depth)
+        for cut in range(1, depth + 1):
+            means = [[pairwise_mean(m) for m in zip(*s.snippets[:cut])] for s in scored]
+            for measure, values in zip(["snippet_terms", "jaccard", "cosine", "bm25"],
+                                       zip(*means)):
+                assert table.value(measure, str(cut)) == pairwise_mean(values)
+        by_click = last_click_similarity(scored)
+        for col, cuts in zip(LAST_CLICK_COLUMNS, zip(*map(_last_click_cuts,
+                                                         (s.pair.before for s in scored)))):
+            means = [[pairwise_mean(m) for m in zip(*s.snippets[:cut])]
+                     for s, cut in zip(scored, cuts)]
+            for measure, values in zip(["snippet_terms", "jaccard", "cosine", "bm25"],
+                                       zip(*means)):
+                assert by_click.value(measure, col) == pairwise_mean(values)
 
 
 class TestLastClick:
