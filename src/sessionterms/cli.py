@@ -239,8 +239,11 @@ def cmd_analyze(args) -> int:
         _write_table(actions.pair_summary(by_label), "pair_summary", args, corpus)
     elif args.analysis == "positions":
         _require_pairs(pairs, "positions")
+        # No session is longer than `longest`, so a longer length or a
+        # later fixed position adds no row.
+        longest = max(len(session.impressions) for session in corpus.sessions)
         lengths_rows = []
-        for session_length in range(2, args.max_position + 2):
+        for session_length in range(2, min(args.max_position + 1, longest) + 1):
             for pos, mean, count in actions.length_by_position(corpus, session_length):
                 lengths_rows.append((session_length, pos, mean, count))
         _write_series(
@@ -254,7 +257,7 @@ def cmd_analyze(args) -> int:
             "similarity_by_position", args, corpus,
         )
         fixed_rows = []
-        for x in range(1, args.max_position + 1):
+        for x in range(1, min(args.max_position, longest) + 1):
             for pos, mean, count in actions.fixed_query_similarity(corpus, x, args.max_position):
                 fixed_rows.append((x, pos, mean, count))
         _write_series(

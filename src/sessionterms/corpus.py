@@ -15,6 +15,7 @@ change after that; build a new object for other judgments.
 from __future__ import annotations
 
 import json
+import math
 import os
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, replace
@@ -148,6 +149,13 @@ class Corpus:
                             f"session {session.id!r} position {imp.position}: "
                             f"click rank {click.rank} outside ranking"
                         )
+                    for name, value in (("start_time", click.start_time),
+                                        ("end_time", click.end_time)):
+                        if not math.isfinite(value):
+                            raise IngestError(
+                                f"session {session.id!r} position {imp.position}: "
+                                f"click {name} {value!r} is not a finite number"
+                            )
                     if click.dwell < 0:
                         raise IngestError(
                             f"session {session.id!r} position {imp.position}: "
@@ -176,14 +184,18 @@ def _query_text(interaction):
 
 def _number(convert, value, session_id, attribute):
     """`convert(value)`, or an IngestError naming the session and the
-    attribute."""
+    attribute; a float must be finite."""
     try:
-        return convert(value)
+        number = convert(value)
     except ValueError:
         raise IngestError(
             f"session {session_id!r}: {attribute} {value!r} is not "
             + ("an integer" if convert is int else "a number")
         ) from None
+    if convert is float and not math.isfinite(number):
+        raise IngestError(
+            f"session {session_id!r}: {attribute} {value!r} is not a finite number")
+    return number
 
 
 def _parse_result(result, session_id, config):

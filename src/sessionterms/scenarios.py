@@ -47,14 +47,11 @@ class ScenarioRecord:
     in_ncs: bool
     in_cs: bool
     in_cd: bool
+    scenario: int  # scenario_index(in_ncs, in_cs, in_cd)
     action: str
     next_impression_clicked: bool
     ranked_documents: int  # M of the owning (earlier) impression
     click_count: int
-
-    @property
-    def scenario(self):
-        return scenario_index(self.in_ncs, self.in_cs, self.in_cd)
 
 
 def assign_scenarios(pairs, corpus, docstore_policy: str = DROP):
@@ -66,6 +63,8 @@ def assign_scenarios(pairs, corpus, docstore_policy: str = DROP):
     with `empty` they are kept, and a clicked document without text adds
     no term to the clicked-document set. Without a docstore no term is
     `in_cd`. Only clicked documents are normalized, each once per call.
+    Each record stores its scenario, worked out once from the three
+    memberships.
     """
     index = SourceIndex(corpus)
     records = []
@@ -89,26 +88,32 @@ def assign_scenarios(pairs, corpus, docstore_policy: str = DROP):
         clicked_next = bool(pair.after.clicks)
         m = len(imp.results)
         n_clicks = len(imp.clicks)
+        session_id = pair.session_id
+        position = pair.position
 
         def record(term, origin, action):
+            in_ncs = term in ncs_terms
+            in_cs = term in cs_terms
+            in_cd = term in cd_terms
             return ScenarioRecord(
                 term=term,
-                session_id=pair.session_id,
-                position=pair.position,
+                session_id=session_id,
+                position=position,
                 origin=origin,
-                in_ncs=term in ncs_terms,
-                in_cs=term in cs_terms,
-                in_cd=term in cd_terms,
+                in_ncs=in_ncs,
+                in_cs=in_cs,
+                in_cd=in_cd,
+                scenario=scenario_index(in_ncs, in_cs, in_cd),
                 action=action,
                 next_impression_clicked=clicked_next,
                 ranked_documents=m,
                 click_count=n_clicks,
             )
 
-        for term in sorted(pair.qn):
-            action = RETAINED if term in pair.qn1 else REMOVED
-            records.append(record(term, QUERY_TERM, action))
-        for term in sorted(pair.added):
+        qn, qn1 = pair.qn, pair.qn1
+        for term in sorted(qn):
+            records.append(record(term, QUERY_TERM, RETAINED if term in qn1 else REMOVED))
+        for term in sorted(qn1 - qn):
             records.append(record(term, ADDED_TERM, ADDED))
     return records
 

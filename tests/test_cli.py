@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -248,6 +249,32 @@ class TestAnalyze:
         assert self.run_analyze("positions", corpus_path, out) == 0
         assert (out / "similarity_by_position.csv").exists()
 
+    def test_positions_work_stops_at_the_longest_session(self, tmp_path, monkeypatch):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"seed": 29, "sessions": 9, "session_length": 3,
+                                    "session_length_max": 7}))
+        corpus_path = tmp_path / "synth.json"
+        assert main(["synth", "--spec", str(spec), "--out", str(corpus_path)]) == 0
+        corpus = from_canonical_json(corpus_path.read_bytes())
+        longest = max(len(session.impressions) for session in corpus.sessions)
+        calls = Counter()
+        for name in ("length_by_position", "fixed_query_similarity"):
+            def counting(*args, _name=name, _function=getattr(cli.actions, name)):
+                calls[_name] += 1
+                return _function(*args)
+            monkeypatch.setattr(cli.actions, name, counting)
+        reports = {}
+        for max_position in (1_000_000, longest):
+            calls.clear()
+            out = tmp_path / str(max_position)
+            assert self.run_analyze("positions", corpus_path, out,
+                                    ["--max-position", str(max_position)]) == 0
+            assert 0 < calls["length_by_position"] <= longest
+            assert 0 < calls["fixed_query_similarity"] <= longest
+            reports[max_position] = {name: (out / name).read_bytes()
+                                     for name in sorted(os.listdir(out))}
+        assert reports[1_000_000] == reports[longest]
+
     def test_analyze_determinism(self, corpus_path, tmp_path):
         out_a, out_b = tmp_path / "ra", tmp_path / "rb"
         self.run_analyze("sources", corpus_path, out_a)
@@ -447,6 +474,15 @@ def _without_raw_query(doc):
     return doc
 
 
+def _click_time(key, token):
+    """An edit that sets `key` of the first click to the non-standard
+    JSON token `token` (`NaN` or `Infinity`), as `json.dumps` writes it."""
+    def edit(doc):
+        doc["sessions"][0]["impressions"][0]["clicks"][0][key] = float(token.lower())
+        return doc
+    return edit
+
+
 def _bag_count(key, value):
     """An edit that sets the first count of the first impression's query
     bag (key "query_terms") or of its first result's bag ("terms")."""
@@ -560,6 +596,9 @@ EXIT_2_CASES = {
     "click-num-not-integer": _bad_xml("<click ", '<click num="first" '),
     "click-starttime-not-number": _bad_xml('starttime="0"', 'starttime="noon"'),
     "click-endtime-not-number": _bad_xml('endtime="30"', 'endtime="later"'),
+    "click-starttime-nan": _bad_xml('starttime="0"', 'starttime="nan"'),
+    "click-endtime-inf": _bad_xml('endtime="30"', 'endtime="inf"'),
+    "click-endtime-overflows": _bad_xml('endtime="30"', 'endtime="1e400"'),
     "config-internal-key": _config_value("pairs", "func", "x"),
     "config-unknown-key": _config_value("pairs", "no_such", 1),
     "config-config-key": _config_value("positions", "config", "nope.json"),
@@ -571,6 +610,8 @@ EXIT_2_CASES = {
     "metrics-on-zero-pairs": _zero_pairs("metrics", with_qrels=True),
     "sources-no-ranked-predecessor": _analyze_xml("sources", NO_RANKED_PREDECESSOR_XML),
     "sources-no-clicked-document-text": _no_clicked_document_text,
+    "canonical-json-click-start-nan": _canonical_json(_click_time("start_time", "NaN")),
+    "canonical-json-click-end-infinity": _canonical_json(_click_time("end_time", "Infinity")),
     "canonical-json-schema-only": _canonical_json(lambda doc: {"schema": 1}),
     "canonical-json-array": _canonical_json(lambda doc: [1, 2]),
     "canonical-json-impression-without-raw-query": _canonical_json(_without_raw_query),

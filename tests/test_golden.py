@@ -10,11 +10,18 @@ would run it. Report bytes must not depend on the hash seed: `analyze
 sources`, whose scores sum floats over sets of added terms, runs once
 more under PYTHONHASHSEED=1 against the same digests. When a change is
 meant to alter a report, record the new digests here in the same change.
+
+The same digests hold on every CPython from 3.10 on: a float sum or
+repr that differs between versions would change report bytes. One other
+installed interpreter per minor version runs the golden commands too.
 """
 
+import glob
 import hashlib
+import json
 import os
 import random
+import shutil
 import subprocess
 import sys
 from xml.sax.saxutils import escape, quoteattr
@@ -312,3 +319,98 @@ def test_metrics_cutoff_5_matches_golden_digests(ingested):
     _sessionterms(ingested, "analyze", "metrics", "--corpus", "corpus.json",
                   "--cutoff", "5", "--out-dir", "reports_cutoff_5")
     assert _digests(_listing(os.path.join(ingested, "reports_cutoff_5"))) == GOLDEN_CUTOFF_5
+
+
+# Runs each JSON-listed argv through `cli.main` in one process, so an
+# interpreter pays its start-up and import once for all its commands.
+_RUN_COMMANDS = """
+import json, sys
+from sessionterms.cli import main
+for argv in json.loads(sys.argv[1]):
+    code = main(argv)
+    if code:
+        sys.exit(f"exit {code}: sessionterms {' '.join(argv)}")
+"""
+
+_PROBE = ("import importlib.util, os, sys; print(sys.version_info[0], sys.version_info[1], "
+          "os.path.realpath(sys.executable), importlib.util.find_spec('scipy') is not None)")
+
+
+def _other_interpreters():
+    """[(path, "3.x", has_scipy)]: one CPython 3.10+ per minor version
+    other than the running one, from `python3.1x` on PATH, pyenv's
+    versions and /usr/bin. Among interpreters of a minor version, one
+    with scipy is preferred."""
+    candidates = [shutil.which(f"python3.{minor}") for minor in range(10, 20)]
+    candidates += sorted(glob.glob(os.path.expanduser("~/.pyenv/versions/3.1*/bin/python3")))
+    candidates += sorted(glob.glob("/usr/bin/python3.1[0-9]"))
+    found = {}
+    for path in dict.fromkeys(filter(None, candidates)):
+        try:
+            probe = subprocess.run([path, "-c", _PROBE], capture_output=True, text=True,
+                                   timeout=30)
+        except (OSError, subprocess.TimeoutExpired):
+            continue
+        if probe.returncode != 0:
+            continue  # e.g. a pyenv shim for a version that is not selected
+        major, minor, executable, has_scipy = probe.stdout.split()
+        version = f"{major}.{minor}"
+        if (int(major), int(minor)) < (3, 10) or version == "%d.%d" % sys.version_info[:2]:
+            continue
+        if version not in found or (has_scipy == "True" and not found[version][1]):
+            found[version] = (executable, has_scipy == "True")
+    return [(path, version, has_scipy) for version, (path, has_scipy) in sorted(found.items())]
+
+
+def _commands(inputs, out, analyses):
+    corpus = os.path.join(out, "corpus.json")
+    commands = [["ingest", "--trec-xml", os.path.join(inputs, "sessions.xml"),
+                 "--qrels", os.path.join(inputs, "qrels.txt"),
+                 "--docs", os.path.join(inputs, "docs"), "--out", corpus]]
+    commands += [["analyze", analysis, "--corpus", corpus,
+                  "--out-dir", os.path.join(out, "reports")] for analysis in analyses]
+    return commands
+
+
+def test_other_interpreters_match_golden_digests(tmp_path):
+    """`analyze sources` needs scipy for GOLDEN's significant cells; an
+    interpreter without scipy leaves that command out on GOLDEN."""
+    interpreters = _other_interpreters()
+    if not interpreters:
+        pytest.skip("no other CPython 3.10+ installed")
+    inputs = {"golden": tmp_path / "golden", "english": tmp_path / "english"}
+    for directory in inputs.values():
+        directory.mkdir()
+    write_inputs(str(inputs["golden"]))
+    write_english_inputs(str(inputs["english"]))
+    env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=SRC)
+    runs = []
+    for path, version, has_scipy in interpreters:
+        expected = {"golden": dict(GOLDEN), "english": GOLDEN_ENGLISH}
+        analyses = {"golden": list(ANALYSES), "english": ANALYSES}
+        if not has_scipy:
+            analyses["golden"].remove("sources")
+            for name in GOLDEN_EMPTY:  # exactly the files `analyze sources` writes
+                del expected["golden"][name]
+        commands = []
+        for name in inputs:
+            out = tmp_path / version / name
+            out.mkdir(parents=True)
+            commands += _commands(str(inputs[name]), str(out), analyses[name])
+        proc = subprocess.Popen([path, "-c", _RUN_COMMANDS, json.dumps(commands)], env=env,
+                                cwd=tmp_path, stdout=subprocess.DEVNULL,
+                                stderr=subprocess.PIPE, text=True)
+        runs.append((proc, path, version, expected))
+    failures = []
+    for proc, path, version, expected in runs:
+        _, err = proc.communicate(timeout=120)
+        if proc.returncode != 0:
+            failures.append(f"{path} ({version}): {err.strip().splitlines()[-1:]}")
+            continue
+        for name, digests in expected.items():
+            out = tmp_path / version / name
+            got = _digests([str(out / "corpus.json")] + _listing(str(out / "reports")))
+            failures += [f"{path} ({version}) {name}: {file}"
+                         for file in sorted(set(got) | set(digests))
+                         if got.get(file) != digests.get(file)]
+    assert not failures, failures

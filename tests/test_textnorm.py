@@ -1,3 +1,4 @@
+import hashlib
 import random
 import re
 
@@ -81,6 +82,57 @@ class TestTokenize:
         assert tokenize(text) == expected
 
 
+_CONSONANTS = "bcdfghjklmnpqrstvwxz"
+_STEP_SUFFIXES = [
+    # steps 2, 3 and 4, then 5a and 5b
+    "ational", "tional", "enci", "anci", "izer", "abli", "alli", "entli",
+    "eli", "ousli", "ization", "ation", "ator", "alism", "iveness",
+    "fulness", "ousness", "aliti", "iviti", "biliti",
+    "icate", "ative", "alize", "iciti", "ical", "ful", "ness",
+    "al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement",
+    "ment", "ent", "ion", "sion", "tion", "ou", "ism", "ate", "iti",
+    "ous", "ive", "ize", "e", "ll", "",
+]
+_STEP1_SUFFIXES = ["sses", "ies", "ss", "s", "eed", "ed", "ing", "ated",
+                   "bling", "izing", "y", ""]
+
+
+def _pinned_vocabulary(size=200_000, seed=1601):
+    """Distinct words: a random stem of consonants, vowels and `y`, its
+    last letter doubled one time in five, then a suffix of steps 2-5b and
+    one of steps 1a-1c."""
+    rng = random.Random(seed)
+    words = {}
+    while len(words) < size:
+        chars = []
+        for _ in range(rng.randint(1, 6)):
+            draw = rng.random()
+            if draw < 0.5:
+                chars.append(rng.choice(_CONSONANTS))
+            elif draw < 0.85:
+                chars.append(rng.choice("aeiou"))
+            else:
+                chars.append("y")
+        if rng.random() < 0.2:
+            chars.append(chars[-1])
+        word = "".join(chars) + rng.choice(_STEP_SUFFIXES) + rng.choice(_STEP1_SUFFIXES)
+        words[word] = None
+    return list(words)
+
+
+def _mixed_strings(size=20_000, seed=1602):
+    """Strings of 0-9 characters: mixed case, digits, non-ASCII, spaces."""
+    rng = random.Random(seed)
+    alphabet = "aeiouyAEIOUYbcstlnzBSZ09é ß-"
+    return ["".join(rng.choice(alphabet) for _ in range(rng.randint(0, 9)))
+            for _ in range(size)]
+
+
+def _stems_sha256(words):
+    lines = "".join(f"{word}\t{porter.stem(word)}\n" for word in words)
+    return hashlib.sha256(lines.encode()).hexdigest()
+
+
 class TestPorter:
     @pytest.mark.parametrize(
         "token,expected",
@@ -161,6 +213,35 @@ class TestPorter:
     def test_non_ascii_passes_through(self):
         assert stem("café") == "café"
         assert stem("über") == "über"
+
+    # The digests are those of the rule-by-rule Porter code that the
+    # table-driven kernel replaced.
+    def test_pinned_generated_vocabulary(self):
+        words = _pinned_vocabulary()
+        assert len(set(words)) == 200_000
+        assert _stems_sha256(words) == (
+            "9f831308139c433282ed7e0fce5ca07340bac0374c2b6e15e69481f919238e78")
+
+    def test_pinned_mixed_strings(self):
+        assert _stems_sha256(_mixed_strings()) == (
+            "f7a7a051b3c93527a4dcd97e8f087727843cc34a3b5bd9b5d0a9da57e63d633f")
+
+    @pytest.mark.parametrize("token,expected", [
+        ("", ""), ("a", "a"), ("ab", "ab"), ("ye", "ye"), ("ll", "ll"),
+        ("Y", "Y"), ("yy", "yy"), ("AEE", "AEE"), ("aEe", "aE"), ("Yuce", "Yuce"),
+        ("YUCE", "YUCE"), ("Yelling", "Yell"), ("RUNNING", "RUNNING"),
+        ("Caresses", "Caress"), ("ponIES", "ponIES"), ("happY", "happY"),
+        ("rationALity", "rationAL"), ("abcdeedY", "abcdeedY"), ("CONTROLL", "CONTROLL"),
+        ("sky2", "sky2"), ("2019", "2019"), ("x86ing", "x86ing"),
+        ("hopeful1ness", "hopeful1"), ("café", "café"), ("cafés", "café"),
+        ("résumés", "résumé"), ("über", "über"), ("naïveté", "naïveté"),
+        ("straße", "straße"), ("日本語", "日本語"),
+        ("yes", "ye"), ("ayy", "ayi"), ("toyed", "toi"), ("syzygy", "syzygi"),
+        ("aing", "a"), ("aed", "a"), ("ied", "i"), ("bed", "bed"), ("eed", "eed"),
+        ("sss", "sss"), ("lll", "lll"),
+    ])
+    def test_inputs_outside_lowercase_letters(self, token, expected):
+        assert porter.stem(token) == expected
 
     def test_idempotent_on_corpus_vocabulary(self):
         # classic Porter is not idempotent on arbitrary strings (e.g.
