@@ -136,20 +136,19 @@ def pair_summary(pairs_by_label) -> ReportTable:
     return table
 
 
-def length_by_position(corpus, session_length: int):
-    """Mean normalized query length per position over sessions of a
-    fixed length; returns [(position, mean_length, count)]."""
-    if session_length < 2:
-        raise ValueError("session_length must be at least 2")
+def length_by_position(corpus, max_length: int):
+    """Mean normalized query length per position over the sessions of
+    each length from 2 to max_length, in one pass; returns
+    [(session_length, position, mean_length, count)]."""
     lengths_at = {}
     for session in corpus.sessions:
-        if len(session.impressions) != session_length:
-            continue
-        for imp in session.impressions:
-            lengths_at.setdefault(imp.position, []).append(imp.query_terms.length)
+        n = len(session.impressions)
+        if 2 <= n <= max_length:
+            for imp in session.impressions:
+                lengths_at.setdefault((n, imp.position), []).append(imp.query_terms.length)
     return [
-        (pos, pairwise_mean(vals), len(vals))
-        for pos, vals in sorted(lengths_at.items())
+        (session_length, pos, pairwise_mean(vals), len(vals))
+        for (session_length, pos), vals in sorted(lengths_at.items())
     ]
 
 
@@ -174,19 +173,15 @@ def similarity_by_position(pairs, max_position: int = DEFAULT_MAX_POSITION):
     return series
 
 
-def fixed_query_similarity(corpus, x: int, max_position: int = DEFAULT_MAX_POSITION):
-    """Mean cosine of the query at position x against each position n,
-    averaged over sessions containing both positions."""
-    if x < 1:
-        raise ValueError("fixed position must be >= 1")
+def fixed_query_similarity(corpus, max_position: int = DEFAULT_MAX_POSITION):
+    """Mean cosine of the query at each fixed position x against the
+    query at each position n, both at most max_position, averaged over
+    the sessions containing both, in one pass; returns
+    [(x, position, mean_cosine, count)]."""
     grouped = {}
     for session in corpus.sessions:
-        imps = session.impressions
-        if len(imps) < x:
-            continue
-        fixed_bag = imps[x - 1].query_terms
-        for imp in imps[:max_position]:
-            grouped.setdefault(imp.position, []).append(
-                cosine_tf(fixed_bag, imp.query_terms)
-            )
-    return [(pos, pairwise_mean(vals), len(vals)) for pos, vals in sorted(grouped.items())]
+        bags = [imp.query_terms for imp in session.impressions[:max_position]]
+        for x, fixed_bag in enumerate(bags, 1):
+            for pos, bag in enumerate(bags, 1):
+                grouped.setdefault((x, pos), []).append(cosine_tf(fixed_bag, bag))
+    return [(x, pos, pairwise_mean(vals), len(vals)) for (x, pos), vals in sorted(grouped.items())]

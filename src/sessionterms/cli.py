@@ -1,29 +1,33 @@
 """Command-line front end: ingest logs, run the analyses, generate
 synthetic corpora. Reports are written as CSV plus Markdown mirrors;
-figure data series are emitted as CSV for external plotting.
+figure data series are emitted as CSV for external plotting. Every
+analysis computes all of its reports before it writes the first, so one
+that fails leaves no report behind.
 
 Exit codes: 0 success (including degraded runs with notices), 1
 analysis failure (also a broken install: a Welch p-value of `analyze
 sources` when scipy cannot be imported, or a discount at rank 1620 or
-deeper of `analyze metrics` when numpy cannot be), 2 usage or input error: a bad
-flag (flag values are checked before any report is written, also those
-read from --config: --k1 must be a finite number of at least 0, --b a
-finite number from 0 to 1, every --dwell-thresholds value a finite
-number, and each count a whole number of at least 1; `sources` also
-rejects a --k1 so large that a BM25 score overflows, before writing any
-table), a
---config key that names no `analyze` option a config file can set (every
-option but --corpus and --config), a missing input file, a path that
-names the wrong kind of file (a directory where a file is read or
-written, or a file where a directory is), malformed
-input (also a canonical corpus JSON with a missing key or a value of
-the wrong type, such as a term count that is not an integer from 1 to
-2**53), `analyze --corpus` with corpora of different normalization configs,
-or input with nothing to analyze (such as any `analyze`
-on a corpus with no query pair, `sources` on one where no pair's earlier
-query has results, or `sources` with --docs where no such pair has a
-clicked document with text under --docstore-policy; `metrics` without
-qrels only gives a notice).
+deeper of `analyze metrics` when numpy cannot be), 2 usage or input
+error: a bad flag (also one read from --config: --k1 must be a finite
+number of at least 0, --b a finite number from 0 to 1, every
+--dwell-thresholds value a finite number, and each count a whole number
+of at least 1; `sources` also rejects a --k1 so large that a BM25 score
+overflows), a --config key that names no `analyze` option a config file
+can set (every option but --corpus and --config), a missing input file,
+a path that names the wrong kind of file (a directory where a file is
+read or written, or a file where a directory is), a --config, --qrels,
+--stoplist or --spec file that is not UTF-8, malformed input (also a
+canonical corpus JSON with a missing key or a value of the wrong type,
+such as a term count that is not an integer from 1 to 2**53, a docstore
+that is not null or an object of strings, or a qrels grade that is not
+an integer from 0 to 4; or a synth spec whose seed or a count is not an
+integer, or whose session length maximum is below its minimum),
+`analyze --corpus` with corpora of different normalization configs, or
+input with nothing to analyze (such as any `analyze` on a corpus with
+no query pair, `sources` on one where no pair's earlier query has
+results, or `sources` with --docs where no such pair has a clicked
+document with text under --docstore-policy; `metrics` without qrels
+only gives a notice).
 """
 
 from __future__ import annotations
@@ -49,11 +53,12 @@ from .corpus import (
     ingest_trec_xml,
     merge,
     normalization_settings,
+    read_text,
     unique_name,
 )
 from .similarity import MissingDocstoreError, ScoreOverflowError
 from .stattests import MissingDependencyError
-from .textnorm import NormalizationConfig, load_stoplist
+from .textnorm import NormalizationConfig, parse_stoplist
 
 
 def _config_hash(config: NormalizationConfig) -> str:
@@ -63,7 +68,7 @@ def _config_hash(config: NormalizationConfig) -> str:
 
 def _normalization_config(args) -> NormalizationConfig:
     return NormalizationConfig(
-        stoplist=load_stoplist(args.stoplist) if args.stoplist else None,
+        stoplist=parse_stoplist(read_text(args.stoplist)) if args.stoplist else None,
         stemming_enabled=not args.no_stem,
         keep_numeric_tokens=not args.drop_numeric,
     )
@@ -179,31 +184,26 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def _write(text, filename, args):
-    """Write one report file under --out-dir and say so."""
-    os.makedirs(args.out_dir, exist_ok=True)
-    path = os.path.join(args.out_dir, filename)
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(text)
-    print(f"wrote {path}")
-
-
-def _write_table(table, name, args, corpus):
+def _table_files(table, name, args, corpus):
+    """The (filename, text) files of a report table in --format."""
     table.header["normalization"] = _config_hash(corpus.config)
     table.header["provenance"] = corpus.provenance
+    files = []
     if args.format in ("csv", "both"):
-        _write(table.to_csv(), name + ".csv", args)
+        files.append((name + ".csv", table.to_csv()))
     if args.format in ("md", "both"):
-        _write(table.to_markdown(), name + ".md", args)
+        files.append((name + ".md", table.to_markdown()))
+    return files
 
 
-def _write_series(rows, columns, name, args, corpus):
+def _series_file(rows, columns, name, corpus):
+    """The (filename, text) CSV file of a figure data series."""
     lines = [f"# normalization: {_config_hash(corpus.config)}",
              f"# provenance: {corpus.provenance}",
              ",".join(columns)]
     lines += [",".join(repr(v) if isinstance(v, float) else str(v) for v in row)
               for row in rows]
-    _write("".join(line + "\n" for line in lines), name + ".csv", args)
+    return name + ".csv", "".join(line + "\n" for line in lines)
 
 
 def _notice(args, message) -> int:
@@ -214,18 +214,23 @@ def _notice(args, message) -> int:
     return 0
 
 
-def _require_pairs(pairs, analysis, kind="pair"):
-    if not pairs:
-        raise actions.EmptyInputError(f"analyze {analysis} requires at least one {kind}")
-
-
 def cmd_analyze(args) -> int:
+    """Run one analysis. Every report is computed before the first is
+    written, so an analysis that fails leaves no report behind."""
     corpora = [_load_corpus(path) for path in args.corpus]
     corpus = corpora[0] if len(corpora) == 1 else merge(
         corpora, provenance="+".join(c.provenance for c in corpora)
     )
     pairs = actions.extract_pairs(corpus, include_test_queries=args.include_test_queries)
-    rc = 0
+    if args.analysis == "metrics" and corpus.qrels is None:
+        return _notice(args, "metric evaluation requires qrels")
+    if args.analysis in ("positions", "metrics") and not pairs:
+        raise actions.EmptyInputError(f"analyze {args.analysis} requires at least one pair")
+    if args.analysis in ("scenarios", "metrics"):
+        records = scenarios.assign_scenarios(
+            [p for p in pairs if not p.involves_test_query], corpus, args.docstore_policy)
+    files = []  # (filename, text) of every report, in the order they are written
+    notice = skipped = None  # printed after the reports; `skipped` names a missing one
     if args.analysis == "pairs":
         if len(corpora) > 1:
             # A label that collides with another or with the combined
@@ -236,95 +241,75 @@ def cmd_analyze(args) -> int:
                 by_label[label] = actions.extract_pairs(c, args.include_test_queries)
         else:
             by_label = {corpus.provenance: pairs}
-        _write_table(actions.pair_summary(by_label), "pair_summary", args, corpus)
+        files += _table_files(actions.pair_summary(by_label), "pair_summary", args, corpus)
     elif args.analysis == "positions":
-        _require_pairs(pairs, "positions")
-        # No session is longer than `longest`, so a longer length or a
-        # later fixed position adds no row.
-        longest = max(len(session.impressions) for session in corpus.sessions)
-        lengths_rows = []
-        for session_length in range(2, min(args.max_position + 1, longest) + 1):
-            for pos, mean, count in actions.length_by_position(corpus, session_length):
-                lengths_rows.append((session_length, pos, mean, count))
-        _write_series(
-            lengths_rows,
-            ["session_length", "position", "mean_query_length", "sessions"],
-            "query_length_by_position", args, corpus,
-        )
-        _write_series(
-            actions.similarity_by_position(pairs, args.max_position),
-            ["position", "mean_jaccard", "mean_cosine", "pairs"],
-            "similarity_by_position", args, corpus,
-        )
-        fixed_rows = []
-        for x in range(1, min(args.max_position, longest) + 1):
-            for pos, mean, count in actions.fixed_query_similarity(corpus, x, args.max_position):
-                fixed_rows.append((x, pos, mean, count))
-        _write_series(
-            fixed_rows,
-            ["fixed_position", "position", "mean_cosine", "sessions"],
-            "fixed_query_similarity", args, corpus,
-        )
+        files += [
+            _series_file(actions.length_by_position(corpus, args.max_position + 1),
+                         ["session_length", "position", "mean_query_length", "sessions"],
+                         "query_length_by_position", corpus),
+            _series_file(actions.similarity_by_position(pairs, args.max_position),
+                         ["position", "mean_jaccard", "mean_cosine", "pairs"],
+                         "similarity_by_position", corpus),
+            _series_file(actions.fixed_query_similarity(corpus, args.max_position),
+                         ["fixed_position", "position", "mean_cosine", "sessions"],
+                         "fixed_query_similarity", corpus),
+        ]
     elif args.analysis == "sources":
         try:
             scored = sources.score_pairs(pairs, corpus, args.k1, args.b)
         except ScoreOverflowError as exc:
             args.parser.error(f"argument --k1: {exc}; use a smaller value")
-        _require_pairs(scored, "sources", "pair whose earlier query has results")
-        # Everything is computed before the first write: a curve with no
-        # document (exit 2) or a p-value without scipy (exit 1) leaves no
-        # report behind.
-        curve = None
+        if not scored:
+            raise actions.EmptyInputError(
+                "analyze sources requires at least one pair whose earlier query has results")
+        # The curve comes first: with no document to score it is an
+        # input error (exit 2), whatever the tables would fail with.
+        curve = []
         if corpus.docstore:
-            curve = sources.dwell_threshold_curve(scored, args.dwell_thresholds,
-                                                  args.docstore_policy)
-        tables = {
-            "rank_prefix": sources.rank_prefix_similarity(scored, args.k_max),
-            "last_click": sources.last_click_similarity(scored),
-            "source_comparison": sources.source_comparison(scored, args.docstore_policy),
-        }
-        for name, table in tables.items():
-            _write_table(table, name, args, corpus)
-        if curve is not None:
-            _write_series(curve, ["threshold", "mean_cosine", "surviving_docs"],
-                          "dwell_thresholds", args, corpus)
+            curve.append(_series_file(
+                sources.dwell_threshold_curve(scored, args.dwell_thresholds, args.docstore_policy),
+                ["threshold", "mean_cosine", "surviving_docs"], "dwell_thresholds", corpus))
         else:
-            rc = max(rc, _notice(args, "dwell threshold curve requires --docs"))
+            skipped = "dwell threshold curve requires --docs"
+        files += _table_files(sources.rank_prefix_similarity(scored, args.k_max),
+                              "rank_prefix", args, corpus)
+        files += _table_files(sources.last_click_similarity(scored), "last_click", args, corpus)
+        files += _table_files(sources.source_comparison(scored, args.docstore_policy),
+                              "source_comparison", args, corpus)
+        files += curve
     elif args.analysis == "scenarios":
-        eligible = [p for p in pairs if not p.involves_test_query]
-        records = scenarios.assign_scenarios(eligible, corpus, args.docstore_policy)
-        _write_table(scenarios.scenario_distribution(records), "scenario_distribution", args, corpus)
-        _write_series(
-            scenarios.retention_by_scenario(records),
-            ["scenario", "fraction_retained", "fraction_removed"],
-            "retention_by_scenario", args, corpus,
-        )
-        _write_table(scenarios.click_outcome_eval(records), "click_outcomes", args, corpus)
-        _write(scenarios.records_to_csv(records), "scenario_records.csv", args)
+        files += _table_files(scenarios.scenario_distribution(records),
+                              "scenario_distribution", args, corpus)
+        files.append(_series_file(scenarios.retention_by_scenario(records),
+                                  ["scenario", "fraction_retained", "fraction_removed"],
+                                  "retention_by_scenario", corpus))
+        files += _table_files(scenarios.click_outcome_eval(records), "click_outcomes",
+                              args, corpus)
+        files.append(("scenario_records.csv", scenarios.records_to_csv(records)))
         if not corpus.docstore:
-            print("notice: no docstore attached; clicked-document bits unavailable")
+            notice = "no docstore attached; clicked-document bits unavailable"
     elif args.analysis == "metrics":
-        if corpus.qrels is None:
-            return _notice(args, "metric evaluation requires qrels")
-        _require_pairs(pairs, "metrics")
-        eligible = [p for p in pairs if not p.involves_test_query]
-        records = scenarios.assign_scenarios(eligible, corpus, args.docstore_policy)
         metrics = ireval.score_impressions(corpus, args.cutoff)
-        _write_table(ireval.scenario_metric_eval(records, metrics), "scenario_metric_eval",
-                     args, corpus)
-        _write_series(
+        files += _table_files(ireval.scenario_metric_eval(records, metrics),
+                              "scenario_metric_eval", args, corpus)
+        files.append(_series_file(
             ireval.metrics_by_position(metrics),
             ["position", "mean_ndcg", "mean_nerr", "mean_map", "impressions"],
-            "metrics_by_position", args, corpus,
-        )
-        _write(ireval.metrics_csv(metrics), "impression_metrics.csv", args)
-    return rc
+            "metrics_by_position", corpus))
+        files.append(("impression_metrics.csv", ireval.metrics_csv(metrics)))
+    os.makedirs(args.out_dir, exist_ok=True)
+    for filename, text in files:
+        path = os.path.join(args.out_dir, filename)
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(text)
+        print(f"wrote {path}")
+    if notice:
+        print(f"notice: {notice}")
+    return _notice(args, skipped) if skipped else 0
 
 
 def cmd_synth(args) -> int:
-    with open(args.spec, encoding="utf-8") as f:
-        spec = synthgen.GeneratorSpec.from_json(f.read())
-    corpus = synthgen.generate(spec)
+    corpus = synthgen.generate(synthgen.GeneratorSpec.from_json(read_text(args.spec)))
     _write_corpus(corpus, args.out)
     print(f"wrote {args.out}")
     return 0
@@ -394,7 +379,7 @@ def _run(argv) -> int:
         try:
             with open(args.config, encoding="utf-8") as f:
                 defaults = json.load(f)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             parser.error(f"cannot read --config {args.config}: {exc}")
         if not isinstance(defaults, dict):
             parser.error(f"--config {args.config} must hold a JSON object")

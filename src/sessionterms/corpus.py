@@ -317,25 +317,34 @@ def ingest_qrels(path) -> RelevanceJudgments:
     Negative grades are clamped to 0; grades above 4 are rejected.
     """
     grades = {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 4:
-                raise IngestError(f"{path}:{lineno}: expected 4 fields, got {len(parts)}")
-            topic, _, docid, grade_str = parts
-            try:
-                grade = int(grade_str)
-            except ValueError:
-                raise IngestError(
-                    f"{path}:{lineno}: non-integer grade {grade_str!r}"
-                ) from None
-            if grade > 4:
-                raise IngestError(f"{path}:{lineno}: grade {grade} above scale maximum 4")
-            grades[(topic, docid)] = max(grade, 0)
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 4:
+            raise IngestError(f"{path}:{lineno}: expected 4 fields, got {len(parts)}")
+        topic, _, docid, grade_str = parts
+        try:
+            grade = int(grade_str)
+        except ValueError:
+            raise IngestError(
+                f"{path}:{lineno}: non-integer grade {grade_str!r}"
+            ) from None
+        if grade > 4:
+            raise IngestError(f"{path}:{lineno}: grade {grade} above scale maximum 4")
+        grades[(topic, docid)] = max(grade, 0)
     return RelevanceJudgments(grades)
+
+
+def read_text(path) -> str:
+    """The text of a UTF-8 input file, line ends read as `\\n`;
+    IngestError naming the file when it is not UTF-8."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            return f.read()
+        except UnicodeDecodeError as exc:
+            raise IngestError(f"{path} is not UTF-8 text: {exc}") from None
 
 
 def _is_file(entry) -> bool:
@@ -626,13 +635,19 @@ def _corpus_from_doc(doc) -> Corpus:
         for s in doc["sessions"]
     )
     _check_counts(bags)
-    qrels = None
-    if doc.get("qrels") is not None:
-        qrels = RelevanceJudgments({(t, d): g for t, d, g in doc["qrels"]})
+    qrels = doc.get("qrels")
+    if qrels is not None:
+        qrels = RelevanceJudgments({(t, d): g for t, d, g in qrels})
+        if not {(type(g), g) for g in qrels.grades.values()} <= {(int, g) for g in range(5)}:
+            raise TypeError("qrels grades must be integers from 0 to 4")
+    docstore = doc.get("docstore")
+    if docstore is not None and not (type(docstore) is dict
+                                     and set(map(type, docstore.values())) <= {str}):
+        raise TypeError("docstore must be null or an object of document texts")
     return Corpus(
         sessions=sessions,
         config=config,
         qrels=qrels,
-        docstore=doc.get("docstore"),
+        docstore=docstore,
         provenance=doc.get("provenance", ""),
     ).validate()

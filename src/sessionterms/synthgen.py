@@ -94,19 +94,25 @@ class GeneratorSpec:
     with_test_query: bool = False
 
     def __post_init__(self):
+        for name in ("seed", "sessions", "session_length", "session_length_max",
+                     "vocabulary_size", "query_length", "results_per_query",
+                     "snippet_length", "doc_length"):
+            value = getattr(self, name)
+            if type(value) is not int and not (name == "session_length_max" and value is None):
+                raise SpecError(f"{name} must be an integer, got {value!r}")
+        if self.session_length_max is not None and self.session_length_max < self.session_length:
+            raise SpecError("the session_length maximum must be at least its minimum")
         for name in ("p_keep", "drift", "p_ncs", "p_cs", "p_cd",
                      "click_prob", "click_decay"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise SpecError(f"{name} must lie in [0, 1], got {value}")
-        if self.vocabulary_size <= 0:
-            raise SpecError("vocabulary_size must be positive")
+        if self.sessions <= 0 or self.session_length < 1 or self.query_length < 1:
+            raise SpecError("sessions, session_length and query_length must be positive")
         if self.vocabulary_size < 3 * self.query_length:
             raise SpecError("vocabulary_size must be at least 3x query_length")
         if self.results_per_query < 2:
             raise SpecError("results_per_query must be at least 2")
-        if self.sessions <= 0 or self.session_length < 1 or self.query_length < 1:
-            raise SpecError("sessions, session_length and query_length must be positive")
 
     @classmethod
     def from_json(cls, text: str) -> "GeneratorSpec":
@@ -117,6 +123,8 @@ class GeneratorSpec:
         if not isinstance(doc, dict):
             raise SpecError("spec must be a JSON object")
         if isinstance(doc.get("session_length"), list):
+            if len(doc["session_length"]) != 2:
+                raise SpecError("session_length must be an integer or a list of two integers")
             low, high = doc["session_length"]
             doc = dict(doc, session_length=low, session_length_max=high)
         known = set(cls.__dataclass_fields__)

@@ -114,11 +114,6 @@ def parse_stoplist(text):
     return words
 
 
-def load_stoplist(path):
-    with open(path, encoding="utf-8") as f:
-        return parse_stoplist(f.read())
-
-
 @dataclass(frozen=True)
 class NormalizationConfig:
     stoplist: frozenset = None

@@ -153,12 +153,8 @@ class TestPositionSeries:
             ("c", None, [make_impression(1, "q q q", plain_config, snippets=["s"])]),
         ]
         corpus = make_corpus(sessions, plain_config)
-        series = length_by_position(corpus, session_length=2)
-        assert series == [(1, 2.0, 2), (2, 3.0, 2)]
-
-    def test_length_by_position_rejects_degenerate(self, small_corpus):
-        with pytest.raises(ValueError):
-            length_by_position(small_corpus, session_length=1)
+        series = length_by_position(corpus, max_length=2)
+        assert series == [(2, 1, 2.0, 2), (2, 2, 3.0, 2)]
 
     def test_similarity_by_position(self, small_corpus):
         series = similarity_by_position(extract_pairs(small_corpus))
@@ -172,12 +168,8 @@ class TestPositionSeries:
         assert [s[0] for s in series] == [1, 2, 3]
 
     def test_fixed_query_similarity_self_position_is_one(self, session40_corpus):
-        series = fixed_query_similarity(session40_corpus, x=3)
-        by_pos = {pos: val for pos, val, _ in series}
+        series = fixed_query_similarity(session40_corpus)
+        by_pos = {pos: val for x, pos, val, _ in series if x == 3}
         assert by_pos[3] == pytest.approx(1.0)
         assert by_pos[4] == pytest.approx(1.0)  # verbatim repeat
         assert 0.0 <= by_pos[5] < 1.0
-
-    def test_fixed_query_similarity_requires_valid_position(self, session40_corpus):
-        with pytest.raises(ValueError):
-            fixed_query_similarity(session40_corpus, x=0)

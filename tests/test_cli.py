@@ -457,15 +457,58 @@ def _no_clicked_document_text(workspace):
             "--out-dir", str(workspace / "reports")]
 
 
-def _canonical_json(edit):
-    """Run `analyze pairs` on the workspace corpus JSON as `edit(doc)`
+def _canonical_json(edit, analysis="pairs"):
+    """Run an analysis on the workspace corpus JSON as `edit(doc)`
     rewrites it."""
     def argv(workspace):
         run_ingest(workspace)
         path = workspace / "corpus.json"
         path.write_text(json.dumps(edit(json.loads(path.read_text()))))
-        return ["analyze", "pairs", "--corpus", str(path),
+        return ["analyze", analysis, "--corpus", str(path),
                 "--out-dir", str(workspace / "reports")]
+    return argv
+
+
+def _member(key, value):
+    """An edit that sets the top-level member `key` to `value`."""
+    def edit(doc):
+        doc[key] = value
+        return doc
+    return edit
+
+
+def _first_grade(grade):
+    """An edit that sets the grade of the first qrels judgment."""
+    def edit(doc):
+        doc["qrels"][0][2] = grade
+        return doc
+    return edit
+
+
+def _synth_spec(**fields):
+    """Run `synth` on a spec of `fields`."""
+    def argv(workspace):
+        (workspace / "spec.json").write_text(json.dumps(fields))
+        return ["synth", "--spec", str(workspace / "spec.json"),
+                "--out", str(workspace / "synthetic.json")]
+    return argv
+
+
+def _not_utf8(flag):
+    """Run the command that reads `flag` on a Latin-1 file, latin1.txt."""
+    def argv(workspace):
+        text = {"--qrels": "T 0 d\xe9 2\n", "--stoplist": "caf\xe9\n",
+                "--spec": '{"seed": 1, "note": "caf\xe9"}', "--config": '{"b": 0.5} caf\xe9'}
+        (workspace / "latin1.txt").write_bytes(text[flag].encode("latin-1"))
+        if flag == "--spec":
+            return ["synth", "--spec", str(workspace / "latin1.txt"),
+                    "--out", str(workspace / "synthetic.json")]
+        if flag == "--config":
+            run_ingest(workspace)
+            return ["analyze", "pairs", "--corpus", str(workspace / "corpus.json"),
+                    "--config", str(workspace / "latin1.txt"),
+                    "--out-dir", str(workspace / "reports")]
+        return _ingest_with(flag, "latin1.txt")(workspace)
     return argv
 
 
@@ -651,6 +694,33 @@ EXIT_2_CASES = {
         "synth", "--spec", str(workspace / "docs"), "--out", str(workspace / "synthetic.json"),
     ],
     "out-dir-is-a-file": _out_dir_is_a_file,
+    "spec-session-length-max-below-min": _synth_spec(session_length=[5, 4]),
+    "spec-session-length-max-far-below-min": _synth_spec(session_length=[5, 2]),
+    "spec-session-length-max-field-below-min": _synth_spec(session_length=4,
+                                                           session_length_max=3),
+    "spec-session-length-one-value": _synth_spec(session_length=[2]),
+    "spec-session-length-three-values": _synth_spec(session_length=[2, 3, 4]),
+    "spec-session-length-fraction": _synth_spec(session_length=[2, 3.5]),
+    "spec-results-per-query-fraction": _synth_spec(results_per_query=2.5),
+    "spec-sessions-float": _synth_spec(sessions=1e9),
+    "spec-sessions-true": _synth_spec(sessions=True),
+    "spec-seed-fraction": _synth_spec(seed=1.5),
+    "config-not-utf8": _not_utf8("--config"),
+    "qrels-not-utf8": _not_utf8("--qrels"),
+    "stoplist-not-utf8": _not_utf8("--stoplist"),
+    "spec-not-utf8": _not_utf8("--spec"),
+    "canonical-json-docstore-number": _canonical_json(_member("docstore", 5), "sources"),
+    "canonical-json-docstore-array": _canonical_json(_member("docstore", ["dB"]), "sources"),
+    "canonical-json-docstore-text-number": _canonical_json(
+        _member("docstore", {"dB": 5}), "sources"),
+    "canonical-json-docstore-text-array": _canonical_json(
+        _member("docstore", {"dB": ["a"]}), "sources"),
+    "canonical-json-docstore-text-null": _canonical_json(
+        _member("docstore", {"dB": None}), "scenarios"),
+    "canonical-json-qrels-grade-above-4": _canonical_json(_first_grade(9), "metrics"),
+    "canonical-json-qrels-grade-negative": _canonical_json(_first_grade(-1), "metrics"),
+    "canonical-json-qrels-grade-fraction": _canonical_json(_first_grade(2.5), "metrics"),
+    "canonical-json-qrels-grade-true": _canonical_json(_first_grade(True), "metrics"),
 }
 
 
@@ -677,6 +747,50 @@ def test_bad_term_bag_says_what_a_bag_holds(case, workspace, capsys):
     assert (("term counts must be integers from 1 to 2**53" if "-count-" in case
              else "term bags must be JSON objects of term counts")
             in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("case", sorted(c for c in EXIT_2_CASES if c.endswith("-not-utf8")))
+def test_non_utf8_input_error_names_the_file(case, workspace, capsys):
+    argv = EXIT_2_CASES[case](workspace)
+    capsys.readouterr()
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # --config errors are argparse usage errors
+        code = exc.code
+    assert code == 2
+    assert str(workspace / "latin1.txt") in capsys.readouterr().err
+
+
+# The report each analysis computes last.
+LAST_REPORT = {
+    "pairs": (cli.actions, "pair_summary"),
+    "positions": (cli.actions, "fixed_query_similarity"),
+    "sources": (cli.sources, "source_comparison"),
+    "scenarios": (cli.scenarios, "records_to_csv"),
+    "metrics": (cli.ireval, "metrics_csv"),
+}
+
+
+@pytest.mark.parametrize("error, code", [(cli.actions.EmptyInputError, 2),
+                                         (cli.MissingDependencyError, 1)])
+@pytest.mark.parametrize("analysis", sorted(LAST_REPORT))
+def test_failed_analysis_writes_no_report(analysis, error, code, workspace, monkeypatch, capsys):
+    """Every report is computed before the first is written: when the
+    last one fails, --out-dir holds no file, and the exit code is the
+    one `main` gives the error."""
+    def fail(*args, **kwargs):
+        raise error("the last report failed")
+
+    monkeypatch.setattr(*LAST_REPORT[analysis], fail)
+    assert run_ingest(workspace) == 0
+    out = workspace / "reports"
+    capsys.readouterr()
+    assert main(["analyze", analysis, "--corpus", str(workspace / "corpus.json"),
+                 "--out-dir", str(out)]) == code
+    captured = capsys.readouterr()
+    assert captured.err == "error: the last report failed\n"
+    assert "wrote" not in captured.out
+    assert not out.exists()
 
 
 class TestCollector:
