@@ -81,14 +81,15 @@ def extract_pairs(corpus, include_test_queries: bool = True):
     ]
 
 
-_SUMMARY_ROWS = [
-    "jaccard",
-    "cosine",
-    "retained",
-    "removed",
-    "added",
-    "all_terms_kept_fraction",
-]
+# Each row of the pair summary and the per-pair measure it averages.
+_SUMMARY_ROWS = {
+    "jaccard": lambda p: jaccard(p.qn, p.qn1),
+    "cosine": lambda p: cosine_tf(p.qn_bag, p.qn1_bag),
+    "retained": lambda p: len(p.retained),
+    "removed": lambda p: len(p.removed),
+    "added": lambda p: len(p.added),
+    "all_terms_kept_fraction": lambda p: 1.0 if not p.removed else 0.0,
+}
 
 
 COMBINED = "combined"
@@ -109,30 +110,10 @@ def pair_summary(pairs_by_label) -> ReportTable:
     table = ReportTable(title="Adjacent query pair summary", columns=labels)
     for label in labels:
         pairs = pairs_by_label[label]
-        if not pairs:
-            continue
-        n = len(pairs)
-        table.set(
-            "jaccard",
-            label,
-            pairwise_mean([jaccard(p.qn, p.qn1) for p in pairs]),
-            population=n,
-        )
-        table.set(
-            "cosine",
-            label,
-            pairwise_mean([cosine_tf(p.qn_bag, p.qn1_bag) for p in pairs]),
-            population=n,
-        )
-        table.set("retained", label, pairwise_mean([len(p.retained) for p in pairs]), population=n)
-        table.set("removed", label, pairwise_mean([len(p.removed) for p in pairs]), population=n)
-        table.set("added", label, pairwise_mean([len(p.added) for p in pairs]), population=n)
-        table.set(
-            "all_terms_kept_fraction",
-            label,
-            pairwise_mean([1.0 if not p.removed else 0.0 for p in pairs]),
-            population=n,
-        )
+        if pairs:
+            for row, measure in _SUMMARY_ROWS.items():
+                table.set(row, label, pairwise_mean(list(map(measure, pairs))),
+                          population=len(pairs))
     return table
 
 

@@ -4,30 +4,8 @@ figure data series are emitted as CSV for external plotting. Every
 analysis computes all of its reports before it writes the first, so one
 that fails leaves no report behind.
 
-Exit codes: 0 success (including degraded runs with notices), 1
-analysis failure (also a broken install: a Welch p-value of `analyze
-sources` when scipy cannot be imported, or a discount at rank 1620 or
-deeper of `analyze metrics` when numpy cannot be), 2 usage or input
-error: a bad flag (also one read from --config: --k1 must be a finite
-number of at least 0, --b a finite number from 0 to 1, every
---dwell-thresholds value a finite number, and each count a whole number
-of at least 1; `sources` also rejects a --k1 so large that a BM25 score
-overflows), a --config key that names no `analyze` option a config file
-can set (every option but --corpus and --config), a missing input file,
-a path that names the wrong kind of file (a directory where a file is
-read or written, or a file where a directory is), a --config, --qrels,
---stoplist or --spec file that is not UTF-8, malformed input (also a
-canonical corpus JSON with a missing key or a value of the wrong type,
-such as a term count that is not an integer from 1 to 2**53, a docstore
-that is not null or an object of strings, or a qrels grade that is not
-an integer from 0 to 4; or a synth spec whose seed or a count is not an
-integer, or whose session length maximum is below its minimum),
-`analyze --corpus` with corpora of different normalization configs, or
-input with nothing to analyze (such as any `analyze` on a corpus with
-no query pair, `sources` on one where no pair's earlier query has
-results, or `sources` with --docs where no such pair has a clicked
-document with text under --docstore-policy; `metrics` without qrels
-only gives a notice).
+Exit codes: 0 success (also a degraded run with a notice), 1 analysis
+failure, 2 usage or input error; README's "Exit codes" lists the cases.
 """
 
 from __future__ import annotations
@@ -158,10 +136,7 @@ def _write_corpus(corpus, path):
 
 def cmd_ingest(args) -> int:
     config = _normalization_config(args)
-    corpora = [ingest_trec_xml(path, config) for path in args.trec_xml]
-    corpus = corpora[0] if len(corpora) == 1 else merge(
-        corpora, provenance="+".join(c.provenance for c in corpora)
-    )
+    corpus = merge(ingest_trec_xml(path, config) for path in args.trec_xml)
     if args.qrels:
         corpus = replace(corpus, qrels=ingest_qrels(args.qrels))
     if args.docs:
@@ -218,9 +193,7 @@ def cmd_analyze(args) -> int:
     """Run one analysis. Every report is computed before the first is
     written, so an analysis that fails leaves no report behind."""
     corpora = [_load_corpus(path) for path in args.corpus]
-    corpus = corpora[0] if len(corpora) == 1 else merge(
-        corpora, provenance="+".join(c.provenance for c in corpora)
-    )
+    corpus = merge(corpora)
     pairs = actions.extract_pairs(corpus, include_test_queries=args.include_test_queries)
     if args.analysis == "metrics" and corpus.qrels is None:
         return _notice(args, "metric evaluation requires qrels")

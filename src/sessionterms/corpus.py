@@ -20,6 +20,7 @@ import os
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, replace
 from itertools import chain
+from operator import attrgetter
 
 from .textnorm import NormalizationConfig, TermBag, normalize, strip_html
 
@@ -198,10 +199,15 @@ def _number(convert, value, session_id, attribute):
     return number
 
 
+def _field(elem, name, default=None):
+    """The `name` attribute of `elem`, else the text of its `name` child
+    (empty when the child has none), else `default`."""
+    value = elem.get(name)
+    return _text(elem, name, default) if value is None else value
+
+
 def _parse_result(result, session_id, config):
-    rank = result.get("rank")
-    if rank is None:
-        rank = _text(result, "rank", None)
+    rank = _field(result, "rank")
     if rank is None:
         raise IngestError(f"session {session_id!r}: result missing rank")
     title = _text(result, "title")
@@ -223,15 +229,9 @@ def _parse_result(result, session_id, config):
 
 
 def _parse_click(click, order, session_id):
-    start = click.get("starttime")
-    end = click.get("endtime")
-    if start is None:
-        start = _text(click, "starttime", "0")
-    if end is None:
-        end = _text(click, "endtime", start)
-    rank = click.get("rank")
-    if rank is None:
-        rank = _text(click, "rank", None)
+    start = _field(click, "starttime", "0")
+    end = _field(click, "endtime", start)
+    rank = _field(click, "rank")
     if rank is None:
         raise IngestError(f"session {session_id!r}: click missing rank")
     num = click.get("num")
@@ -265,6 +265,16 @@ def ingest_trec_xml(path, config: NormalizationConfig) -> Corpus:
         if topic is not None:
             topic_id = topic.get("num") or (topic.text or "").strip() or None
         impressions = []
+
+        def add_impression(raw_query, results=(), clicks=()):
+            impressions.append(Impression(
+                position=len(impressions) + 1,
+                raw_query=raw_query,
+                query_terms=normalize(raw_query, config),
+                results=tuple(results),
+                clicks=tuple(clicks),
+            ))
+
         for interaction in elem.findall("interaction"):
             raw_query = _query_text(interaction)
             if raw_query is None:
@@ -279,29 +289,12 @@ def ingest_trec_xml(path, config: NormalizationConfig) -> Corpus:
             if clicked is not None:
                 for order, click in enumerate(clicked.findall("click"), start=1):
                     clicks.append(_parse_click(click, order, session_id))
-            impressions.append(
-                Impression(
-                    position=len(impressions) + 1,
-                    raw_query=raw_query,
-                    query_terms=normalize(raw_query, config),
-                    results=tuple(results),
-                    clicks=tuple(clicks),
-                )
-            )
+            add_impression(raw_query, results, clicks)
         # A trailing bare <currentquery> outside any interaction is the
         # test query of the session.
         trailing = elem.find("currentquery")
         if trailing is not None:
-            raw_query = _query_element_text(trailing)
-            impressions.append(
-                Impression(
-                    position=len(impressions) + 1,
-                    raw_query=raw_query,
-                    query_terms=normalize(raw_query, config),
-                    results=(),
-                    clicks=(),
-                )
-            )
+            add_impression(_query_element_text(trailing))
         sessions.append(Session(id=session_id, topic_id=topic_id, impressions=tuple(impressions)))
     corpus = Corpus(
         sessions=tuple(sessions),
@@ -410,9 +403,11 @@ def unique_name(name, index, taken):
     return name
 
 
-def merge(corpora, provenance="combined") -> Corpus:
+def merge(corpora) -> Corpus:
     """Concatenate corpora sharing a normalization config; IngestError
-    when two configs differ.
+    when two configs differ. A lone corpus is returned unchanged; a
+    merged one is named after its parts, their provenances joined with
+    `+`.
 
     A colliding session id is prefixed with its corpus's index
     (`unique_name`).
@@ -420,6 +415,8 @@ def merge(corpora, provenance="combined") -> Corpus:
     corpora = list(corpora)
     if not corpora:
         raise IngestError("cannot merge zero corpora")
+    if len(corpora) == 1:
+        return corpora[0]
     config = corpora[0].config
     for corpus in corpora[1:]:
         if corpus.config != config:
@@ -450,7 +447,7 @@ def merge(corpora, provenance="combined") -> Corpus:
         config=config,
         qrels=RelevanceJudgments(grades) if any_qrels else None,
         docstore=docstore if any_docs else None,
-        provenance=provenance,
+        provenance="+".join(c.provenance for c in corpora),
     ).validate()
 
 
@@ -479,6 +476,35 @@ def _check_counts(bags):
     if values and (set(map(type, values)) != {int}
                    or min(values) < 1 or max(values) > _MAX_COUNT):
         raise TypeError("term counts must be integers from 1 to 2**53")
+
+
+def _types(objects, *names) -> set:
+    """The types of the `names` attributes of `objects`, one C pass per
+    name."""
+    return set().union(*(map(type, map(attrgetter(name), objects)) for name in names))
+
+
+def _check_scalars(sessions, provenance, grades):
+    """TypeError unless positions, ranks and click orders are integers
+    (not booleans), click times integers or floats, ids, docids (also
+    the judged (topic, docid) keys of `grades`), raw queries, result
+    texts and the provenance strings, and session topic ids strings or
+    null. Each check is a pass of C calls, as in `_check_counts`."""
+    impressions = list(chain.from_iterable(map(attrgetter("impressions"), sessions)))
+    results = list(chain.from_iterable(map(attrgetter("results"), impressions)))
+    clicks = list(chain.from_iterable(map(attrgetter("clicks"), impressions)))
+    if not (_types(impressions, "position") | _types(results, "rank")
+            | _types(clicks, "rank", "order")) <= {int}:
+        raise TypeError("positions, ranks and click orders must be integers")
+    if not _types(clicks, "start_time", "end_time") <= {int, float}:
+        raise TypeError("click times must be numbers")
+    if not (_types(sessions, "id") | _types(impressions, "raw_query")
+            | _types(results, "url", "docid", "title", "snippet")
+            | set(map(type, chain.from_iterable(grades))) | {type(provenance)}) <= {str}:
+        raise TypeError("ids, docids, raw queries, result texts and the provenance must be "
+                        "strings")
+    if not _types(sessions, "topic_id") <= {str, type(None)}:
+        raise TypeError("topic ids must be strings or null")
 
 
 # One encoder for every value written: `json.dumps` with these options
@@ -640,6 +666,8 @@ def _corpus_from_doc(doc) -> Corpus:
         qrels = RelevanceJudgments({(t, d): g for t, d, g in qrels})
         if not {(type(g), g) for g in qrels.grades.values()} <= {(int, g) for g in range(5)}:
             raise TypeError("qrels grades must be integers from 0 to 4")
+    provenance = doc.get("provenance", "")
+    _check_scalars(sessions, provenance, qrels.grades if qrels is not None else {})
     docstore = doc.get("docstore")
     if docstore is not None and not (type(docstore) is dict
                                      and set(map(type, docstore.values())) <= {str}):
@@ -649,5 +677,5 @@ def _corpus_from_doc(doc) -> Corpus:
         config=config,
         qrels=qrels,
         docstore=docstore,
-        provenance=doc.get("provenance", ""),
+        provenance=provenance,
     ).validate()

@@ -52,16 +52,18 @@ def _dcg(grades, k):
     return total
 
 
-def ndcg_at_k(grades, ideal_pool, k: int = DEFAULT_CUTOFF) -> float:
-    """Normalized DCG with gain 2^g - 1 and log2(rank + 1) discount.
-
-    The ideal DCG comes from the full judged pool sorted descending;
-    0.0 when the ideal DCG is zero.
-    """
-    ideal = _dcg(sorted(ideal_pool, reverse=True), k)
+def _normalized(gain, grades, ideal_pool, k):
+    """`gain(grades, k)` over the gain of the ideal ranking, the full
+    judged pool sorted descending; 0.0 when the ideal gain is zero."""
+    ideal = gain(sorted(ideal_pool, reverse=True), k)
     if ideal == 0:
         return 0.0
-    return float(_dcg(grades, k) / ideal)
+    return float(gain(grades, k) / ideal)
+
+
+def ndcg_at_k(grades, ideal_pool, k: int = DEFAULT_CUTOFF) -> float:
+    """Normalized DCG with gain 2^g - 1 and log2(rank + 1) discount."""
+    return _normalized(_dcg, grades, ideal_pool, k)
 
 
 def _err(grades, k):
@@ -76,10 +78,7 @@ def _err(grades, k):
 
 def nerr_at_k(grades, ideal_pool, k: int = DEFAULT_CUTOFF) -> float:
     """Expected Reciprocal Rank normalized by the ideal ranking's ERR."""
-    ideal = _err(sorted(ideal_pool, reverse=True), k)
-    if ideal == 0:
-        return 0.0
-    return float(_err(grades, k) / ideal)
+    return _normalized(_err, grades, ideal_pool, k)
 
 
 def average_precision(grades, topic_relevant_count: int) -> float:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .actions import EmptyInputError
 from .report import ReportTable
@@ -118,6 +119,10 @@ def assign_scenarios(pairs, corpus, docstore_policy: str = DROP):
     return records
 
 
+# The per-record value each mean column of the distribution averages.
+_MEAN_COLUMNS = (("docs", attrgetter("ranked_documents")), ("clicks", attrgetter("click_count")))
+
+
 def scenario_distribution(records) -> ReportTable:
     """Occurrence percentage, mean ranked documents and mean clicks per
     scenario, split by query-term and added-term origin."""
@@ -146,16 +151,9 @@ def scenario_distribution(records) -> ReportTable:
                 population=len(subset),
             )
             if subset:
-                table.set(
-                    str(scenario), f"{prefix}_docs",
-                    pairwise_mean([r.ranked_documents for r in subset]),
-                    population=len(subset),
-                )
-                table.set(
-                    str(scenario), f"{prefix}_clicks",
-                    pairwise_mean([r.click_count for r in subset]),
-                    population=len(subset),
-                )
+                for column, value in _MEAN_COLUMNS:
+                    table.set(str(scenario), f"{prefix}_{column}",
+                              pairwise_mean(list(map(value, subset))), population=len(subset))
     table.footnotes.append(
         f"query-term records: {totals[QUERY_TERM]}; "
         f"added-term records: {totals[ADDED_TERM]}"

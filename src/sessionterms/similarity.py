@@ -162,8 +162,6 @@ def cosine_tf(a: TermBag, b: TermBag) -> float:
     dot = sum(count * b.counts.get(term, 0) for term, count in a.counts.items())
     norm_a = math.sqrt(sum(c * c for c in a.counts.values()))
     norm_b = math.sqrt(sum(c * c for c in b.counts.values()))
-    if norm_a == 0.0 or norm_b == 0.0:
-        return 0.0
     return dot / (norm_a * norm_b)
 
 
@@ -258,7 +256,7 @@ class BagSide:
 class RunningBagSide:
     """The `BagSide` of a running count-summed union of bags, grown one
     bag at a time by `fold`: after each fold it is the side of the bags
-    folded so far chained with `TermBag.add`, with the same term order,
+    folded so far merged by `TermBag.union`, with the same term order,
     counts, token count and norm bits.
 
     It keeps each term's squared tf-idf weight and the in-order running

@@ -67,15 +67,6 @@ class TestResult:
     method: str
 
 
-def _sum(values):
-    """Float sum in order. The builtin `sum` compensates from Python 3.12
-    on, so its last digit would depend on the interpreter."""
-    total = 0.0
-    for x in values:
-        total += x
-    return total
-
-
 class MissingDependencyError(Exception):
     """A package that a computation needs (scipy for a Welch p-value,
     numpy for a deep rank's log2 discount) cannot be imported: the
@@ -107,11 +98,11 @@ def _welch(sample_a, sample_b):
     n1, n2 = len(a), len(b)
     if n1 < 2 or n2 < 2:
         return None, None, 0
-    mean1 = _sum(a) / n1
-    mean2 = _sum(b) / n2
+    mean1 = reduce(add, a, 0.0) / n1
+    mean2 = reduce(add, b, 0.0) / n2
     try:
-        var1 = _sum((x - mean1) ** 2 for x in a) / (n1 - 1)
-        var2 = _sum((x - mean2) ** 2 for x in b) / (n2 - 1)
+        var1 = reduce(add, ((x - mean1) ** 2 for x in a), 0.0) / (n1 - 1)
+        var2 = reduce(add, ((x - mean2) ** 2 for x in b), 0.0) / (n2 - 1)
         df_denominator = (var1 / n1) ** 2 / (n1 - 1) + (var2 / n2) ** 2 / (n2 - 1)
         finite = all(map(math.isfinite, (var1, var2, df_denominator)))
     except OverflowError:

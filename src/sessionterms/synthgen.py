@@ -105,8 +105,11 @@ class GeneratorSpec:
         for name in ("p_keep", "drift", "p_ncs", "p_cs", "p_cd",
                      "click_prob", "click_decay"):
             value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise SpecError(f"{name} must lie in [0, 1], got {value}")
+            if type(value) not in (int, float) or not 0.0 <= value <= 1.0:
+                raise SpecError(f"{name} must be a number in [0, 1], got {value!r}")
+        for name in ("force_click", "with_test_query"):
+            if type(getattr(self, name)) is not bool:
+                raise SpecError(f"{name} must be true or false, got {getattr(self, name)!r}")
         if self.sessions <= 0 or self.session_length < 1 or self.query_length < 1:
             raise SpecError("sessions, session_length and query_length must be positive")
         if self.vocabulary_size < 3 * self.query_length:

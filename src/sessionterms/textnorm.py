@@ -65,15 +65,12 @@ class TermBag:
         """Total token count."""
         return sum(self.counts.values())
 
-    def add(self, other: "TermBag"):
-        """Count-summed union with another bag."""
-        return TermBag.union((self, other))
-
     @staticmethod
     def union(bags):
-        """Count-summed union of bags, built in one pass; the same bag,
-        in the same term order, as chained `add` calls. Sums of positive
-        counts need no re-validation, so it skips `__init__`'s checks."""
+        """Count-summed union of bags, built in one pass: the first bag's
+        terms in its order, then each later bag's new terms in its order.
+        Sums of positive counts need no re-validation, so it skips
+        `__init__`'s checks."""
         merged = None
         for bag in bags:
             if merged is None:

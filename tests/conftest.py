@@ -7,7 +7,7 @@ from sessionterms.corpus import (
     Session,
     SnippetEntry,
 )
-from sessionterms.textnorm import NormalizationConfig, normalize
+from sessionterms.textnorm import NormalizationConfig, TermBag, normalize
 
 
 @pytest.fixture
@@ -59,6 +59,17 @@ def neumaier_sum(values, start=0):
             compensation += (x - t) + total
         total = t
     return total + compensation
+
+
+def summed_bag(bags):
+    """The count-summed bag of `bags` by a plain dict loop: the first
+    bag's terms in its order, then each later bag's new terms. An oracle
+    of `TermBag.union` that never calls it."""
+    counts = {}
+    for bag in bags:
+        for term, count in bag.counts.items():
+            counts[term] = counts.get(term, 0) + count
+    return TermBag(counts)
 
 
 def make_corpus(sessions, config, docstore=None, qrels=None, provenance="test"):

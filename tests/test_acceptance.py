@@ -32,6 +32,8 @@ from sessionterms.stattests import welch_t, wilcoxon_signed_rank
 from sessionterms.synthgen import GeneratorSpec, expected_statistics, generate
 from sessionterms.textnorm import NormalizationConfig, TermBag, normalize
 
+from conftest import summed_bag
+
 TREC_ENV = "SESSIONTERMS_TREC_DIR"
 
 
@@ -109,7 +111,7 @@ def test_criterion_3_scenario_distribution_reproduction(report, skip_notice):
         skip_notice(3, f"session logs not found (set {TREC_ENV})")
     from sessionterms.corpus import merge
 
-    corpus = corpora[0] if len(corpora) == 1 else merge(corpora)
+    corpus = merge(corpora)
     pairs = [p for p in extract_pairs(corpus) if not p.involves_test_query]
     records = assign_scenarios(pairs, corpus)
     query = [r for r in records if r.origin == QUERY_TERM]
@@ -355,16 +357,10 @@ def test_criterion_8_randomized_invariants(report):
             non = [r for r, c in zip(imp.results, mask) if not c]
             ok &= len(clicked) + len(non) == len(imp.results)
             ok &= {r.rank for r in clicked} == {c.rank for c in imp.clicks}
-            merged = TermBag()
-            for r in clicked + non:
-                merged = merged.add(r.terms)
-            full = TermBag()
-            for r in imp.results:
-                full = full.add(r.terms)
-            ok &= merged == full
+            full = summed_bag(r.terms for r in imp.results)
+            ok &= summed_bag(r.terms for r in clicked + non) == full
             if not imp.is_test_query:
-                for r in clicked:
-                    full = full.add(corpus.doc_terms(r.docid))
+                full = summed_bag([full, *(corpus.doc_terms(r.docid) for r in clicked)])
                 ok &= impressions[imp.position] == full
                 ok &= None not in index.clicked_docs(imp)
     # metric delta antisymmetry: swapping the two rankings negates each delta

@@ -477,20 +477,23 @@ def _member(key, value):
     return edit
 
 
-def _first_grade(grade):
-    """An edit that sets the grade of the first qrels judgment."""
+def _first_judgment(field, value):
+    """An edit that sets field `field` (0 topic, 1 docid, 2 grade) of the
+    first qrels judgment."""
     def edit(doc):
-        doc["qrels"][0][2] = grade
+        doc["qrels"][0][field] = value
         return doc
     return edit
 
 
 def _synth_spec(**fields):
-    """Run `synth` on a spec of `fields`."""
+    """Run `synth` on a spec of `fields`, which the returned function
+    keeps as its `fields`."""
     def argv(workspace):
         (workspace / "spec.json").write_text(json.dumps(fields))
         return ["synth", "--spec", str(workspace / "spec.json"),
                 "--out", str(workspace / "synthetic.json")]
+    argv.fields = fields
     return argv
 
 
@@ -517,11 +520,16 @@ def _without_raw_query(doc):
     return doc
 
 
-def _click_time(key, token):
-    """An edit that sets `key` of the first click to the non-standard
-    JSON token `token` (`NaN` or `Infinity`), as `json.dumps` writes it."""
+def _first(record, key, value):
+    """An edit that sets `key` of the first session, or of its first
+    impression, result or click (`record`), to `value`."""
     def edit(doc):
-        doc["sessions"][0]["impressions"][0]["clicks"][0][key] = float(token.lower())
+        target = doc["sessions"][0]
+        if record != "session":
+            target = target["impressions"][0]
+            if record != "impression":
+                target = target[record + "s"][0]
+        target[key] = value
         return doc
     return edit
 
@@ -653,8 +661,8 @@ EXIT_2_CASES = {
     "metrics-on-zero-pairs": _zero_pairs("metrics", with_qrels=True),
     "sources-no-ranked-predecessor": _analyze_xml("sources", NO_RANKED_PREDECESSOR_XML),
     "sources-no-clicked-document-text": _no_clicked_document_text,
-    "canonical-json-click-start-nan": _canonical_json(_click_time("start_time", "NaN")),
-    "canonical-json-click-end-infinity": _canonical_json(_click_time("end_time", "Infinity")),
+    "canonical-json-click-start-nan": _canonical_json(_first("click", "start_time", math.nan)),
+    "canonical-json-click-end-infinity": _canonical_json(_first("click", "end_time", math.inf)),
     "canonical-json-schema-only": _canonical_json(lambda doc: {"schema": 1}),
     "canonical-json-array": _canonical_json(lambda doc: [1, 2]),
     "canonical-json-impression-without-raw-query": _canonical_json(_without_raw_query),
@@ -717,10 +725,29 @@ EXIT_2_CASES = {
         _member("docstore", {"dB": ["a"]}), "sources"),
     "canonical-json-docstore-text-null": _canonical_json(
         _member("docstore", {"dB": None}), "scenarios"),
-    "canonical-json-qrels-grade-above-4": _canonical_json(_first_grade(9), "metrics"),
-    "canonical-json-qrels-grade-negative": _canonical_json(_first_grade(-1), "metrics"),
-    "canonical-json-qrels-grade-fraction": _canonical_json(_first_grade(2.5), "metrics"),
-    "canonical-json-qrels-grade-true": _canonical_json(_first_grade(True), "metrics"),
+    "canonical-json-qrels-grade-above-4": _canonical_json(_first_judgment(2, 9), "metrics"),
+    "canonical-json-qrels-grade-negative": _canonical_json(_first_judgment(2, -1), "metrics"),
+    "canonical-json-qrels-grade-fraction": _canonical_json(_first_judgment(2, 2.5), "metrics"),
+    "canonical-json-qrels-grade-true": _canonical_json(_first_judgment(2, True), "metrics"),
+    **{f"canonical-json-position-float-{analysis}": _canonical_json(
+        _first("impression", "position", 1.0), analysis)
+       for analysis in ("pairs", "positions", "sources", "scenarios", "metrics")},
+    "canonical-json-click-rank-float": _canonical_json(_first("click", "rank", 2.0), "sources"),
+    "canonical-json-click-order-true": _canonical_json(_first("click", "order", True)),
+    "canonical-json-click-end-true": _canonical_json(_first("click", "end_time", True)),
+    "canonical-json-result-rank-true": _canonical_json(_first("result", "rank", True)),
+    "canonical-json-docid-integer": _canonical_json(_first("result", "docid", 7), "sources"),
+    "canonical-json-url-null": _canonical_json(_first("result", "url", None)),
+    "canonical-json-raw-query-number": _canonical_json(_first("impression", "raw_query", 5)),
+    "canonical-json-session-id-integer": _canonical_json(_first("session", "id", 1)),
+    "canonical-json-topic-id-integer": _canonical_json(_first("session", "topic_id", 1),
+                                                       "metrics"),
+    "canonical-json-provenance-number": _canonical_json(_member("provenance", 1)),
+    "canonical-json-qrels-topic-integer": _canonical_json(_first_judgment(0, 1), "metrics"),
+    "spec-with-test-query-string": _synth_spec(with_test_query="no"),
+    "spec-force-click-one": _synth_spec(force_click=1),
+    "spec-p-keep-true": _synth_spec(p_keep=True),
+    "spec-p-keep-string": _synth_spec(p_keep="0.5"),
 }
 
 
@@ -759,6 +786,16 @@ def test_non_utf8_input_error_names_the_file(case, workspace, capsys):
         code = exc.code
     assert code == 2
     assert str(workspace / "latin1.txt") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", sorted(c for c in EXIT_2_CASES
+                                         if hasattr(EXIT_2_CASES[c], "fields")))
+def test_bad_spec_error_names_its_field(case, workspace, capsys):
+    argv = EXIT_2_CASES[case](workspace)
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert any(field in err for field in EXIT_2_CASES[case].fields), err
 
 
 # The report each analysis computes last.

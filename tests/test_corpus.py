@@ -144,6 +144,37 @@ class TestIngestXml:
         with pytest.raises(IngestError, match="click rank"):
             ingest_trec_xml(path, NormalizationConfig())
 
+    @pytest.mark.parametrize("result, click, expected", [
+        ('<result rank="2"><docid>d</docid>', '<click rank="2" starttime="3" endtime="7">',
+         (2, "d", 2, 3.0, 7.0)),
+        ("<result><rank>2</rank><docid>d</docid>",
+         "<click><rank>2</rank><starttime>3</starttime><endtime>7</endtime>",
+         (2, "d", 2, 3.0, 7.0)),
+        ('<result rank="2"><rank>1</rank><docid>d</docid>',
+         '<click rank="2" starttime="3" endtime="7"><rank>1</rank><starttime>0</starttime>',
+         (2, "d", 2, 3.0, 7.0)),
+        ('<result rank="2"><docid>d</docid>', '<click rank="2" endtime="7">', (2, "d", 2, 0.0, 7.0)),
+        ('<result rank="2"><docid>d</docid>', "<click><rank>2</rank><starttime>3</starttime>",
+         (2, "d", 2, 3.0, 3.0)),
+        ('<result rank="2"><docid>d</docid>', '<click rank="2">', (2, "d", 2, 0.0, 0.0)),
+        *[(f'<result rank="2"><{tag}>d</{tag}>', '<click rank="2">', (2, "d", 2, 0.0, 0.0))
+          for tag in ("clueweb12id", "clueweb09id", "clueweb12-id", "clueweb09-id")],
+    ], ids=["attributes", "children", "attribute-before-child", "no-starttime", "no-endtime",
+            "no-times", "clueweb12id", "clueweb09id", "clueweb12-id", "clueweb09-id"])
+    def test_field_forms(self, tmp_path, result, click, expected):
+        """A rank or click time is read from an attribute, else from a
+        child element; a missing start time is 0 and a missing end time
+        the start; a docid may be under any of the clueweb tags."""
+        path = tmp_path / "fields.xml"
+        path.write_text(
+            '<sessions><session num="1"><interaction><currentquery>q</currentquery><results>'
+            '<result rank="1"><docid>first</docid></result>'
+            f"{result}<url>u</url><title>t</title><snippet>s</snippet></result>"
+            f"</results><clicked>{click}</click></clicked></interaction></session></sessions>")
+        imp = ingest_trec_xml(path, NormalizationConfig()).sessions[0].impressions[0]
+        entry, event = imp.results[1], imp.clicks[0]
+        assert (entry.rank, entry.docid, event.rank, event.start_time, event.end_time) == expected
+
 
 class TestIngestQrels:
     def test_direct_parse(self, tmp_path):

@@ -44,9 +44,8 @@ from sessionterms.sources import (
 )
 from sessionterms.stattests import pairwise_mean, welch_t
 from sessionterms.synthgen import GeneratorSpec, generate
-from sessionterms.textnorm import TermBag
 
-from conftest import make_corpus, make_impression, neumaier_sum
+from conftest import make_corpus, make_impression, neumaier_sum, summed_bag
 from test_similarity import oracle_row
 
 
@@ -123,10 +122,8 @@ class TestExtractSource:
         index = SourceIndex(planted_corpus)
         merged = index.impressions(session)[imp.position]
         assert None not in index.clicked_docs(imp)
-        expected = TermBag()
-        for r in imp.results:
-            expected = expected.add(r.terms)
-        expected = expected.add(planted_corpus.doc_terms("doc-1-1"))
+        expected = summed_bag([*(r.terms for r in imp.results),
+                               planted_corpus.doc_terms("doc-1-1")])
         assert merged == expected
 
 
@@ -177,28 +174,18 @@ def definition_rows(pair, bags, stats):
 
 def impression_bag(corpus, imp):
     """The impression bag by its definition: every snippet, then every
-    clicked document with text, chained with `add`; and whether every
-    clicked document has text."""
-    merged, complete = TermBag(), True
-    for r in imp.results:
-        merged = merged.add(r.terms)
-    for r in imp.results:
-        doc = corpus.doc_terms(r.docid) if r.rank in imp.clicked_ranks else TermBag()
-        if doc is None:
-            complete = False
-        else:
-            merged = merged.add(doc)
-    return merged, complete
+    clicked document with text, summed by `summed_bag`; and whether
+    every clicked document has text."""
+    docs = [corpus.doc_terms(r.docid) for r in imp.results if r.rank in imp.clicked_ranks]
+    merged = summed_bag([*(r.terms for r in imp.results), *(d for d in docs if d is not None)])
+    return merged, None not in docs
 
 
 def chained_historical(corpus, session, n):
     """The historical bag by its definition: the impression bags of the
-    non-test queries at positions 1..n, chained with `add`."""
-    merged = TermBag()
-    for imp in session.impressions[:n]:
-        if not imp.is_test_query:
-            merged = merged.add(impression_bag(corpus, imp)[0])
-    return merged
+    non-test queries at positions 1..n, summed by `summed_bag`."""
+    return summed_bag([impression_bag(corpus, imp)[0] for imp in session.impressions[:n]
+                       if not imp.is_test_query])
 
 
 @pytest.fixture
