@@ -10,6 +10,7 @@ Run: python3 demos/02_term_sources.py
 
 from sessionterms import GeneratorSpec, extract_pairs, generate
 from sessionterms.sources import (
+    comparison_samples,
     dwell_threshold_curve,
     last_click_similarity,
     rank_prefix_similarity,
@@ -35,7 +36,7 @@ def main():
     print(f"{len(pairs)} adjacent query pairs from {len(corpus.sessions)} sessions\n")
     scored = score_pairs(pairs, corpus)
 
-    print(source_comparison(scored).to_markdown())
+    print(source_comparison(comparison_samples(scored)).to_markdown())
     print("cs/cd rows in bold beat both the non-clicked and the 'all' "
           "variants at p < 0.01 under Welch's t-test.\n")
 

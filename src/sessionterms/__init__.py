@@ -53,6 +53,7 @@ from .similarity import (
 )
 from .sources import (
     SourceIndex,
+    comparison_samples,
     dwell_threshold_curve,
     last_click_similarity,
     rank_prefix_similarity,

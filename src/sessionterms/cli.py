@@ -159,10 +159,10 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def _table_files(table, name, args, corpus):
-    """The (filename, text) files of a report table in --format."""
-    table.header["normalization"] = _config_hash(corpus.config)
-    table.header["provenance"] = corpus.provenance
+def _table_files(table, name, args, header):
+    """The (filename, text) files of a report table in --format, with
+    `header` (the corpus's normalization hash and provenance)."""
+    table.header.update(header)
     files = []
     if args.format in ("csv", "both"):
         files.append((name + ".csv", table.to_csv()))
@@ -171,11 +171,11 @@ def _table_files(table, name, args, corpus):
     return files
 
 
-def _series_file(rows, columns, name, corpus):
-    """The (filename, text) CSV file of a figure data series."""
-    lines = [f"# normalization: {_config_hash(corpus.config)}",
-             f"# provenance: {corpus.provenance}",
-             ",".join(columns)]
+def _series_file(rows, columns, name, header):
+    """The (filename, text) CSV file of a figure data series, with
+    `header` as comment lines."""
+    lines = [f"# {key}: {value}" for key, value in header.items()]
+    lines.append(",".join(columns))
     lines += [",".join(repr(v) if isinstance(v, float) else str(v) for v in row)
               for row in rows]
     return name + ".csv", "".join(line + "\n" for line in lines)
@@ -194,6 +194,8 @@ def cmd_analyze(args) -> int:
     written, so an analysis that fails leaves no report behind."""
     corpora = [_load_corpus(path) for path in args.corpus]
     corpus = merge(corpora)
+    # The header of every report: computed once, and kept when the corpus is released.
+    header = {"normalization": _config_hash(corpus.config), "provenance": corpus.provenance}
     pairs = actions.extract_pairs(corpus, include_test_queries=args.include_test_queries)
     if args.analysis == "metrics" and corpus.qrels is None:
         return _notice(args, "metric evaluation requires qrels")
@@ -214,18 +216,18 @@ def cmd_analyze(args) -> int:
                 by_label[label] = actions.extract_pairs(c, args.include_test_queries)
         else:
             by_label = {corpus.provenance: pairs}
-        files += _table_files(actions.pair_summary(by_label), "pair_summary", args, corpus)
+        files += _table_files(actions.pair_summary(by_label), "pair_summary", args, header)
     elif args.analysis == "positions":
         files += [
             _series_file(actions.length_by_position(corpus, args.max_position + 1),
                          ["session_length", "position", "mean_query_length", "sessions"],
-                         "query_length_by_position", corpus),
+                         "query_length_by_position", header),
             _series_file(actions.similarity_by_position(pairs, args.max_position),
                          ["position", "mean_jaccard", "mean_cosine", "pairs"],
-                         "similarity_by_position", corpus),
+                         "similarity_by_position", header),
             _series_file(actions.fixed_query_similarity(corpus, args.max_position),
                          ["fixed_position", "position", "mean_cosine", "sessions"],
-                         "fixed_query_similarity", corpus),
+                         "fixed_query_similarity", header),
         ]
     elif args.analysis == "sources":
         try:
@@ -241,34 +243,39 @@ def cmd_analyze(args) -> int:
         if corpus.docstore:
             curve.append(_series_file(
                 sources.dwell_threshold_curve(scored, args.dwell_thresholds, args.docstore_policy),
-                ["threshold", "mean_cosine", "surviving_docs"], "dwell_thresholds", corpus))
+                ["threshold", "mean_cosine", "surviving_docs"], "dwell_thresholds", header))
         else:
             skipped = "dwell threshold curve requires --docs"
         files += _table_files(sources.rank_prefix_similarity(scored, args.k_max),
-                              "rank_prefix", args, corpus)
-        files += _table_files(sources.last_click_similarity(scored), "last_click", args, corpus)
-        files += _table_files(sources.source_comparison(scored, args.docstore_policy),
-                              "source_comparison", args, corpus)
+                              "rank_prefix", args, header)
+        files += _table_files(sources.last_click_similarity(scored), "last_click", args, header)
+        samples = sources.comparison_samples(scored, args.docstore_policy)
+        # The Welch p-values come last, as they may import scipy: with
+        # the corpus, the pairs and the scores released first, that
+        # import reuses their memory instead of raising the peak.
+        del corpora, corpus, pairs, scored
+        files += _table_files(sources.source_comparison(samples), "source_comparison",
+                              args, header)
         files += curve
     elif args.analysis == "scenarios":
         files += _table_files(scenarios.scenario_distribution(records),
-                              "scenario_distribution", args, corpus)
+                              "scenario_distribution", args, header)
         files.append(_series_file(scenarios.retention_by_scenario(records),
                                   ["scenario", "fraction_retained", "fraction_removed"],
-                                  "retention_by_scenario", corpus))
+                                  "retention_by_scenario", header))
         files += _table_files(scenarios.click_outcome_eval(records), "click_outcomes",
-                              args, corpus)
+                              args, header)
         files.append(("scenario_records.csv", scenarios.records_to_csv(records)))
         if not corpus.docstore:
             notice = "no docstore attached; clicked-document bits unavailable"
     elif args.analysis == "metrics":
         metrics = ireval.score_impressions(corpus, args.cutoff)
         files += _table_files(ireval.scenario_metric_eval(records, metrics),
-                              "scenario_metric_eval", args, corpus)
+                              "scenario_metric_eval", args, header)
         files.append(_series_file(
             ireval.metrics_by_position(metrics),
             ["position", "mean_ndcg", "mean_nerr", "mean_map", "impressions"],
-            "metrics_by_position", corpus))
+            "metrics_by_position", header))
         files.append(("impression_metrics.csv", ireval.metrics_csv(metrics)))
     os.makedirs(args.out_dir, exist_ok=True)
     for filename, text in files:
@@ -392,7 +399,13 @@ def main(argv=None) -> int:
 def console_main() -> int:
     """Entry point of the `sessionterms` script and of `python -m
     sessionterms.cli`: `main`, then `gc.freeze()`, so the interpreter's
-    last collections at exit skip every object the command left alive."""
+    last collections at exit skip every object the command left alive.
+
+    numpy, loaded only with scipy for a Welch p-value, would start an
+    OpenBLAS thread per core that spins while the command runs. No
+    code of the package calls BLAS, so one thread is the default; a
+    value already set is kept."""
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         return main()
     finally:

@@ -290,22 +290,23 @@ _SIGNIFICANCE_PAIRS = {"cs": ("ncs", "s(M)"), "cd": ("ncd", "ad")}
 ALPHA = 0.01
 
 
-def source_comparison(scored, docstore_policy: str = DROP) -> ReportTable:
-    """Mean added-term similarity per term source with Welch's t-test
-    marks on the clicked variants; document rows are omitted (with a
-    footnote) when no docstore is attached.
+def comparison_samples(scored, docstore_policy: str = DROP) -> dict:
+    """The samples of `source_comparison`: per row label, the per-pair
+    mean of each column (terms, jaccard, cosine, bm25), one tuple per
+    column. Only the snippet rows are present when no pair has
+    documents; a row no pair contributes to holds no column.
 
     The clicked and non-clicked rows are row subsets of each pair's
     snippet and document scores. Under the drop policy a pair counts in a
     row only when all of that row's documents have text; in the
     impression row, when all of its clicked documents (the `cd` row's)
-    have text."""
+    have text. The samples hold only floats, so the scores and the
+    corpus can be released before `source_comparison` runs."""
     has_docs = any(s.documents is not None for s in scored)
-    rows = SOURCE_ROWS if has_docs else SNIPPET_ROWS
     drop_incomplete = docstore_policy != EMPTY
 
     # per row label: list of per-pair mean (terms, jaccard, cosine, bm25)
-    samples = {label: [] for label in rows}
+    samples = {label: [] for label in (SOURCE_ROWS if has_docs else SNIPPET_ROWS)}
 
     def add_sample(label, scores):
         if scores:
@@ -326,31 +327,32 @@ def source_comparison(scored, docstore_policy: str = DROP) -> ReportTable:
             if want:  # the impression bag holds the clicked documents
                 add_sample("impression", [s.impression])
         add_sample("historical", [s.historical])
+    return {label: list(zip(*means)) for label, means in samples.items()}
 
+
+def source_comparison(samples) -> ReportTable:
+    """Mean added-term similarity per term source of `comparison_samples`,
+    with Welch's t-test marks on the clicked variants; document rows are
+    omitted (with a footnote) when no docstore is attached."""
     columns = ["terms", "jaccard", "cosine", "bm25"]
     table = ReportTable(title="Added-term similarity by term source", columns=columns)
-    if not has_docs:
+    if "ad" not in samples:
         table.footnotes.append(
             "document, impression and historical rows omitted: no docstore attached"
         )
-    # per row label: the per-pair means of each column
-    by_column = {}
-    for label in rows:
-        if not samples[label]:
-            continue
-        by_column[label] = list(zip(*samples[label]))
-        for col, values in zip(columns, by_column[label]):
+    for label, by_column in samples.items():
+        for col, values in zip(columns, by_column):
             table.set(label, col, pairwise_mean(values), population=len(values))
     # A cell is significant when every comparison has a p-value and the
     # largest is below ALPHA. The normal-tail bound rules most cells out
     # before any p-value, and with it scipy, is needed.
     for label, others in _SIGNIFICANCE_PAIRS.items():
-        if label not in by_column or not all(other in by_column for other in others):
+        if not all(samples.get(row) for row in (label, *others)):
             continue
         for i, col in enumerate(columns):
             if col == "terms":
                 continue
-            comparisons = [(by_column[label][i], by_column[other][i]) for other in others]
+            comparisons = [(samples[label][i], samples[other][i]) for other in others]
             if not all(welch_may_be_significant(a, b, ALPHA) for a, b in comparisons):
                 continue
             p_values = [welch_t(a, b).p_value for a, b in comparisons]

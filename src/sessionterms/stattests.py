@@ -78,7 +78,12 @@ def _t_sf_two_sided(t, df):
     if df <= 0:
         return 1.0
     try:
-        from scipy.special import betainc  # deferred: only Welch p-values need scipy, ~0.3 s to import
+        # Deferred: only Welch p-values need scipy. On the perfbench
+        # `long` workload, loading it and computing the p-values took
+        # 0.29-0.48 s with numpy's OpenBLAS thread pool and 0.16-0.25 s
+        # with the one thread `cli.console_main` asks for (2-vCPU x86
+        # VM, two sessions).
+        from scipy.special import betainc
     except ImportError as exc:
         raise MissingDependencyError(
             f"a Welch p-value needs scipy, which cannot be imported: {exc}") from exc

@@ -27,7 +27,13 @@ from sessionterms.scenarios import (
     scenario_membership,
 )
 from sessionterms.similarity import cosine_tf, jaccard
-from sessionterms.sources import SourceIndex, clicked_mask, score_pairs, source_comparison
+from sessionterms.sources import (
+    SourceIndex,
+    clicked_mask,
+    comparison_samples,
+    score_pairs,
+    source_comparison,
+)
 from sessionterms.stattests import welch_t, wilcoxon_signed_rank
 from sessionterms.synthgen import GeneratorSpec, expected_statistics, generate
 from sessionterms.textnorm import NormalizationConfig, TermBag, normalize
@@ -286,7 +292,7 @@ def test_criterion_6_synthetic_recovery(report):
                 ok &= abs(observed[scenario] / m - p) <= 3 * se + 1e-9
         if spec.p_cd > 0 and spec.p_cd >= 4 * max(spec.p_ncs, 0.01):
             dominance_checked = True
-            table = source_comparison(score_pairs(pairs, corpus))
+            table = source_comparison(comparison_samples(score_pairs(pairs, corpus)))
             for col in ("jaccard", "cosine", "bm25"):
                 ok &= table.value("cd", col) > table.value("ncd", col)
     ok &= dominance_checked

@@ -6,14 +6,15 @@ import os
 import subprocess
 import sys
 import textwrap
+import weakref
 from collections import Counter
 from dataclasses import replace
 
 import pytest
 from scipy.special import betainc
 
-from sessionterms import cli, synthgen
-from sessionterms.actions import extract_pairs
+from sessionterms import cli, stattests, synthgen
+from sessionterms.actions import QueryPair, extract_pairs
 from sessionterms.cli import main
 from sessionterms.corpus import (
     attach_documents,
@@ -22,7 +23,7 @@ from sessionterms.corpus import (
     ingest_trec_xml,
     to_canonical_json,
 )
-from sessionterms.sources import score_pairs
+from sessionterms.sources import ScoredPair, score_pairs
 from sessionterms.stattests import column_means
 from sessionterms.textnorm import NormalizationConfig
 
@@ -994,11 +995,17 @@ def test_metrics_without_numpy_writes_the_deep_ranking_ndcg(tmp_path, monkeypatc
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
-def _run_python(script, *args):
+def _run_python(script, *args, **environ):
     """Run `script` in a fresh interpreter that imports the package from
-    src; return the last line it printed."""
+    src, with `environ` set in its environment (a None value unsets the
+    variable); return the last line it printed."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    for key, value in environ.items():
+        if value is None:
+            env.pop(key, None)
+        else:
+            env[key] = value
     proc = subprocess.run([sys.executable, "-c", script, *args], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -1008,11 +1015,28 @@ def _run_python(script, *args):
 SCIPY_LOADED = "any(m.split('.')[0] == 'scipy' for m in sys.modules)"
 NUMPY_LOADED = "any(m.split('.')[0] == 'numpy' for m in sys.modules)"
 
+# A synthetic corpus whose `source_comparison` has one significant cell,
+# (cs, cosine): `analyze sources` computes Welch p-values on it.
+SIGNIFICANT_SPEC = synthgen.GeneratorSpec(seed=32, sessions=12, session_length=3, p_cs=0.3,
+                                          p_ncs=0.2, force_click=True)
+
+
+def _write_significant_corpus(directory) -> str:
+    """Write the corpus of SIGNIFICANT_SPEC to `directory`/corpus.json;
+    return its path."""
+    path = directory / "corpus.json"
+    path.write_bytes(to_canonical_json(synthgen.generate(SIGNIFICANT_SPEC)))
+    return str(path)
+
 
 class TestStartUpImports:
     """Only a Welch p-value needs scipy, and `analyze sources` computes
     one only for a clicked-variant cell that the normal-tail bound leaves
-    open; loading scipy costs about 0.3 s of start-up."""
+    open. Loading scipy and computing the p-values on perfbench's `long`
+    took 0.29-0.48 s with numpy's OpenBLAS thread pool and 0.16-0.25 s
+    with one thread, so `console_main` asks for one thread; `analyze
+    sources` computes them last, after its corpus and scores are
+    released."""
 
     def test_commands_without_welch_never_load_scipy(self, workspace):
         corpus = str(workspace / "corpus.json")
@@ -1108,9 +1132,7 @@ class TestStartUpImports:
         assert {row["significant"] for row in rows} == {"0"}
 
     def test_sources_with_a_significant_cell_writes_betaincs_p_value(self, tmp_path):
-        spec = synthgen.GeneratorSpec(seed=32, sessions=12, session_length=3, p_cs=0.3,
-                                      p_ncs=0.2, force_click=True)
-        corpus, code, scipy_loaded, _, rows = self._analyze_sources(tmp_path, spec)
+        corpus, code, scipy_loaded, _, rows = self._analyze_sources(tmp_path, SIGNIFICANT_SPEC)
         assert (code, scipy_loaded) == (0, True)
         [row] = [row for row in rows if row["significant"] == "1"]
         assert (row["row"], row["column"]) == ("cs", "cosine")
@@ -1128,6 +1150,65 @@ class TestStartUpImports:
                     samples[label].append(column_means(rows_of_label)[2])
         p_values = [_welch_betainc(samples["cs"], samples[other])[1] for other in ("ncs", "s(M)")]
         assert float(row["p_value"]) == max(p_values) < 0.01
+
+    def test_sources_releases_corpus_and_scores_before_any_p_value(self, tmp_path, monkeypatch):
+        """At the first Welch p-value, which may import scipy, no
+        reference to the loaded corpus is left, and no query pair or
+        scored pair is alive: the import reuses their memory."""
+        path = _write_significant_corpus(tmp_path)
+        loaded = []
+
+        def load(data):
+            corpus = from_canonical_json(data)
+            loaded.append(weakref.ref(corpus))
+            return corpus
+
+        def is_pair(obj):
+            return isinstance(obj, (QueryPair, ScoredPair))
+
+        at_first_p_value = []
+        t_sf = stattests._t_sf_two_sided
+
+        def first_call_checked(t, df):
+            if not at_first_p_value:
+                alive = [o for o in gc.get_objects() if is_pair(o) and id(o) not in earlier]
+                at_first_p_value.append(([ref() is None for ref in loaded], len(alive)))
+            return t_sf(t, df)
+
+        monkeypatch.setattr(cli, "from_canonical_json", load)
+        monkeypatch.setattr(stattests, "_t_sf_two_sided", first_call_checked)
+        # Pairs other tests left alive are not this command's; holding
+        # them keeps their ids from being reused.
+        earlier = {id(o): o for o in gc.get_objects() if is_pair(o)}
+        assert main(["analyze", "sources", "--corpus", path,
+                     "--out-dir", str(tmp_path / "reports")]) == 0
+        assert at_first_p_value == [([True], 0)]
+
+    def test_script_entry_runs_welch_with_one_openblas_thread(self, tmp_path):
+        """`console_main` sets OPENBLAS_NUM_THREADS to 1 when it is unset,
+        so the numpy that scipy loads starts no thread pool; a value the
+        user set is kept."""
+        path = _write_significant_corpus(tmp_path)
+        script = textwrap.dedent(f"""
+            import json, os, sys
+            from sessionterms import cli
+            sys.argv = ["sessionterms", *sys.argv[1:]]
+            code = cli.console_main()
+            tasks = "/proc/self/task"
+            threads = len(os.listdir(tasks)) if os.path.isdir(tasks) else None
+            print(json.dumps([code, os.environ.get("OPENBLAS_NUM_THREADS"), {SCIPY_LOADED},
+                              threads]))
+        """)
+        argv = ["analyze", "sources", "--corpus", path, "--out-dir", str(tmp_path / "reports")]
+        code, value, scipy_loaded, _ = json.loads(
+            _run_python(script, *argv, OPENBLAS_NUM_THREADS="2"))
+        assert (code, value, scipy_loaded) == (0, "2", True)
+        code, value, scipy_loaded, threads = json.loads(
+            _run_python(script, *argv, OPENBLAS_NUM_THREADS=None))
+        assert (code, value, scipy_loaded) == (0, "1", True)
+        if threads is None:
+            pytest.skip("no /proc/self/task to count the threads in")
+        assert threads == 1
 
 
 def _welch_betainc(a, b):

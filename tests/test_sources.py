@@ -34,6 +34,7 @@ from sessionterms.sources import (
     _added_bag,
     _last_click_cuts,
     clicked_mask,
+    comparison_samples,
     dwell_threshold_curve,
     last_click_rank,
     last_click_similarity,
@@ -415,7 +416,7 @@ class TestSharedSourceWork:
                         scores = np.asarray(
                             definition_rows(pair, instances, build_stats(index, kind)))
                         samples[label].append(scores.mean(axis=0))
-            table = source_comparison(score_pairs(pairs, corpus), policy)
+            table = source_comparison(comparison_samples(score_pairs(pairs, corpus), policy))
             assert set(table.rows) == {label for label, rows in samples.items() if rows}
             for label in table.rows:
                 rows = samples[label]
@@ -685,7 +686,7 @@ class TestSourceComparison:
                              p_cs=0.8, p_cd=0.8, p_ncs=0.1,
                              force_click=True, click_prob=0.3)
         corpus = generate(spec)
-        table = source_comparison(score_pairs(extract_pairs(corpus), corpus))
+        table = source_comparison(comparison_samples(score_pairs(extract_pairs(corpus), corpus)))
         assert table.value("cs", "jaccard") > table.value("ncs", "jaccard")
         assert table.value("cd", "jaccard") > table.value("ncd", "jaccard")
         assert table.value("cs", "cosine") > table.value("ncs", "cosine")
@@ -695,7 +696,7 @@ class TestSourceComparison:
                              p_cs=0.8, p_cd=0.8, p_ncs=0.1,
                              force_click=True, click_prob=0.3)
         corpus = generate(spec)
-        table = source_comparison(score_pairs(extract_pairs(corpus), corpus))
+        table = source_comparison(comparison_samples(score_pairs(extract_pairs(corpus), corpus)))
         assert table.get("cs", "jaccard").significant
         assert table.get("cd", "jaccard").significant
         assert table.get("cs", "jaccard").p_value < 0.01
@@ -717,7 +718,7 @@ class TestSourceComparison:
         `exact_cells` cells are left to welch_t, `significant` of them
         are marked."""
         corpus = generate(spec)
-        scored = score_pairs(extract_pairs(corpus), corpus)
+        samples = comparison_samples(score_pairs(extract_pairs(corpus), corpus))
         compared = []
 
         def counting_welch_t(a, b):
@@ -725,11 +726,11 @@ class TestSourceComparison:
             return welch_t(a, b)
 
         monkeypatch.setattr(sources, "welch_t", counting_welch_t)
-        table = source_comparison(scored)
+        table = source_comparison(samples)
         assert len(compared) == 2 * exact_cells
         assert sum(cell.significant for cell in table.cells.values()) == significant
         monkeypatch.setattr(sources, "welch_may_be_significant", lambda a, b, alpha: True)
-        assert source_comparison(scored).to_csv() == table.to_csv()
+        assert source_comparison(samples).to_csv() == table.to_csv()
 
     def test_without_docstore_degrades_to_snippet_rows(self, plain_config):
         spec = GeneratorSpec(seed=13, sessions=20, session_length=3,
@@ -739,7 +740,8 @@ class TestSourceComparison:
             [(s.id, s.topic_id, list(s.impressions)) for s in corpus.sessions],
             corpus.config,
         )
-        table = source_comparison(score_pairs(extract_pairs(snippets_only), snippets_only))
+        table = source_comparison(comparison_samples(
+            score_pairs(extract_pairs(snippets_only), snippets_only)))
         assert set(table.rows) == {"s(M)", "cs", "ncs"}
         assert any("no docstore" in note for note in table.footnotes)
 
@@ -747,7 +749,7 @@ class TestSourceComparison:
         spec = GeneratorSpec(seed=2, sessions=20, session_length=3,
                              p_cs=0.5, p_cd=0.5, force_click=True)
         corpus = generate(spec)
-        table = source_comparison(score_pairs(extract_pairs(corpus), corpus))
+        table = source_comparison(comparison_samples(score_pairs(extract_pairs(corpus), corpus)))
         assert set(table.rows) == {
             "s(M)", "cs", "ncs", "ad", "cd", "ncd", "impression", "historical"
         }
