@@ -193,6 +193,9 @@ def cmd_analyze(args) -> int:
     """Run one analysis. Every report is computed before the first is
     written, so an analysis that fails leaves no report behind."""
     corpora = [_load_corpus(path) for path in args.corpus]
+    if args.analysis != "metrics":
+        # Only `metrics` reads the judgments; the load has checked them.
+        corpora = [replace(c, qrels=None) for c in corpora]
     corpus = merge(corpora)
     # The header of every report: computed once, and kept when the corpus is released.
     header = {"normalization": _config_hash(corpus.config), "provenance": corpus.provenance}
@@ -359,7 +362,7 @@ def _run(argv) -> int:
         try:
             with open(args.config, encoding="utf-8") as f:
                 defaults = json.load(f)
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             parser.error(f"cannot read --config {args.config}: {exc}")
         if not isinstance(defaults, dict):
             parser.error(f"--config {args.config} must hold a JSON object")

@@ -17,9 +17,11 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, replace
 from itertools import chain
+from json.decoder import scanstring
 from operator import attrgetter
 
 from .textnorm import NormalizationConfig, TermBag, normalize, strip_html
@@ -597,14 +599,34 @@ def to_canonical_json(corpus: Corpus) -> bytes:
     return b"".join(canonical_json_chunks(corpus))
 
 
+# The decoder of every canonical JSON value, and the whitespace JSON
+# allows between tokens (`json.decoder.WHITESPACE`).
+_DECODER = json.JSONDecoder()
+_SPACE = re.compile(r"[ \t\n\r]*")
+
+
 def from_canonical_json(data: bytes) -> Corpus:
     """The corpus of a canonical JSON document; IngestError when it
     cannot be decoded, has another schema version, misses a key or holds
-    a value of the wrong type."""
+    a value of the wrong type.
+
+    The bytes are decoded to text once, in the encoding `json.loads`
+    detects (UTF-8 with or without a BOM, UTF-16, UTF-32), and released.
+    The top-level object is then read member by member, and each session
+    is built as soon as its JSON is decoded, so the load holds the text,
+    the corpus and one session's JSON at a time. The errors keep the
+    precedence of a whole-document `json.loads`: a text it rejects gives
+    its message; then a top level that is not an object; then the
+    schema; then missing keys and wrong types, in the order
+    `_corpus_from_doc` checks them.
+    """
     try:
-        doc = json.loads(data)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        text = data.decode(json.detect_encoding(data), "surrogatepass")
+        del data  # freed when the caller passed its only reference, as `_load_corpus` does
+        doc = _document(text)
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise IngestError(f"cannot decode canonical JSON: {exc}") from exc
+    del text
     if not isinstance(doc, dict):
         raise IngestError(f"canonical JSON must hold an object, not {type(doc).__name__}")
     version = doc.get("schema")
@@ -621,6 +643,131 @@ def from_canonical_json(data: bytes) -> Corpus:
         raise IngestError(f"canonical JSON: value of the wrong type: {exc}") from None
 
 
+class _Reader:
+    """A JSON text read token by token from `pos`, which always stands
+    past any whitespace. A syntax error raises a JSONDecodeError."""
+
+    def __init__(self, text):
+        self.text = text
+        self.pos = _SPACE.match(text).end()
+
+    def skip(self, char) -> bool:
+        """Whether the next token is `char`; if so, read past it."""
+        if not self.text.startswith(char, self.pos):
+            return False
+        self.pos = _SPACE.match(self.text, self.pos + 1).end()
+        return True
+
+    def expect(self, char):
+        if not self.skip(char):
+            raise json.JSONDecodeError(f"Expecting {char!r}", self.text, self.pos)
+
+    def value(self):
+        """The JSON value at `pos`, decoded whole."""
+        value, end = _DECODER.raw_decode(self.text, self.pos)
+        self.pos = _SPACE.match(self.text, end).end()
+        return value
+
+    def key(self) -> str:
+        """An object member's key and its colon."""
+        if not self.text.startswith('"', self.pos):
+            raise json.JSONDecodeError("Expecting property name enclosed in double quotes",
+                                       self.text, self.pos)
+        key, end = scanstring(self.text, self.pos + 1)
+        self.pos = _SPACE.match(self.text, end).end()
+        self.expect(":")
+        return key
+
+    def items(self, close):
+        """Once per element of the array or object just opened, up to
+        `close`: the caller reads the element before the next step."""
+        if self.skip(close):
+            return
+        while True:
+            yield
+            if self.skip(close):
+                return
+            self.expect(",")
+
+
+def _document(text):
+    """`json.loads` of the text, except that the `sessions` member of a
+    top-level object holds what `_sessions` builds from it."""
+    reader = _Reader(text)
+    try:
+        if not reader.skip("{"):
+            return _DECODER.decode(text)
+        doc = {}
+        for _ in reader.items("}"):
+            key = reader.key()
+            # A repeated key keeps its last value, as in `json.loads`.
+            doc[key] = _sessions(reader) if key == "sessions" else reader.value()
+        if reader.pos != len(text):
+            raise json.JSONDecodeError("Extra data", text, reader.pos)
+        return doc
+    except json.JSONDecodeError:
+        _DECODER.decode(text)  # raises the error as `json.loads` words it
+        raise
+
+
+def _sessions(reader):
+    """(sessions, the counts of every term bag) of the `sessions` member
+    at the reader, each session built before the next is decoded; or
+    the error of the first one that is not a session, raised by
+    `_corpus_from_doc` after its earlier checks. The sessions after a
+    bad one are still decoded: a syntax error anywhere wins."""
+    if not reader.skip("["):
+        return _built(reader.value())
+    values = (reader.value() for _ in reader.items("]"))
+    built = _built(values)
+    for _ in values:  # the sessions after a bad one
+        pass
+    return built
+
+
+def _built(values):
+    """(sessions, bags) of decoded sessions, or the error of the first
+    one that is not a session."""
+    bags = []
+    try:
+        return tuple(_session_from_json(s, bags) for s in values), bags
+    except (KeyError, AttributeError, TypeError) as exc:
+        return exc
+
+
+def _session_from_json(s, bags) -> Session:
+    """The Session of one decoded canonical JSON session; each term
+    bag's counts are appended to `bags`, for `_check_counts`."""
+
+    def bag(counts) -> TermBag:
+        bags.append(counts)
+        terms = TermBag()
+        terms.counts = counts
+        return terms
+
+    return Session(
+        s["id"],
+        s.get("topic_id"),
+        tuple(
+            Impression(
+                imp["position"],
+                imp["raw_query"],
+                bag(imp["query_terms"]),
+                tuple(
+                    SnippetEntry(r["rank"], r["url"], r["docid"], r["title"], r["snippet"],
+                                 bag(r["terms"]))
+                    for r in imp["results"]
+                ),
+                tuple(
+                    ClickEvent(c["rank"], c["order"], c["start_time"], c["end_time"])
+                    for c in imp["clicks"]
+                ),
+            )
+            for imp in s["impressions"]
+        ),
+    )
+
+
 def _corpus_from_doc(doc) -> Corpus:
     norm = doc["normalization"]
     stoplist = norm["stoplist"]
@@ -629,38 +776,10 @@ def _corpus_from_doc(doc) -> Corpus:
             and set(map(type, flags)) == {bool}):
         raise TypeError("the normalization must hold a stoplist of strings and two booleans")
     config = NormalizationConfig(frozenset(stoplist), *flags)
-    bags = []  # every bag's counts, checked at once by `_check_counts`
-
-    def bag(counts) -> TermBag:
-        bags.append(counts)
-        terms = TermBag()
-        terms.counts = counts
-        return terms
-
-    sessions = tuple(
-        Session(
-            s["id"],
-            s.get("topic_id"),
-            tuple(
-                Impression(
-                    imp["position"],
-                    imp["raw_query"],
-                    bag(imp["query_terms"]),
-                    tuple(
-                        SnippetEntry(r["rank"], r["url"], r["docid"], r["title"], r["snippet"],
-                                     bag(r["terms"]))
-                        for r in imp["results"]
-                    ),
-                    tuple(
-                        ClickEvent(c["rank"], c["order"], c["start_time"], c["end_time"])
-                        for c in imp["clicks"]
-                    ),
-                )
-                for imp in s["impressions"]
-            ),
-        )
-        for s in doc["sessions"]
-    )
+    built = doc["sessions"]
+    if isinstance(built, Exception):
+        raise built
+    sessions, bags = built
     _check_counts(bags)
     qrels = doc.get("qrels")
     if qrels is not None:

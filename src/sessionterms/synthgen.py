@@ -121,7 +121,7 @@ class GeneratorSpec:
     def from_json(cls, text: str) -> "GeneratorSpec":
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise SpecError(f"invalid spec JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise SpecError("spec must be a JSON object")

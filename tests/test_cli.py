@@ -11,12 +11,15 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import betainc
 
 from sessionterms import cli, stattests, synthgen
 from sessionterms.actions import QueryPair, extract_pairs
 from sessionterms.cli import main
 from sessionterms.corpus import (
+    RelevanceJudgments,
     attach_documents,
     from_canonical_json,
     ingest_qrels,
@@ -520,6 +523,26 @@ def _not_utf8(flag):
     return argv
 
 
+# Nested deeper than any JSON decoder's recursion limit.
+DEEP_JSON = "[" * 100000 + "]" * 100000
+
+
+def _deeply_nested(flag):
+    """Run the command that reads `flag` on a file of nested arrays,
+    deep.json, deeper than the decoder can recurse."""
+    def argv(workspace):
+        (workspace / "deep.json").write_text(DEEP_JSON)
+        deep = str(workspace / "deep.json")
+        if flag == "--spec":
+            return ["synth", "--spec", deep, "--out", str(workspace / "synthetic.json")]
+        run_ingest(workspace)
+        corpus = deep if flag == "--corpus" else str(workspace / "corpus.json")
+        config = ("--config", deep) if flag == "--config" else ()
+        return ["analyze", "pairs", "--corpus", corpus, *config,
+                "--out-dir", str(workspace / "reports")]
+    return argv
+
+
 def _without_raw_query(doc):
     del doc["sessions"][0]["impressions"][0]["raw_query"]
     return doc
@@ -722,6 +745,9 @@ EXIT_2_CASES = {
     "qrels-not-utf8": _not_utf8("--qrels"),
     "stoplist-not-utf8": _not_utf8("--stoplist"),
     "spec-not-utf8": _not_utf8("--spec"),
+    "corpus-nested-too-deeply": _deeply_nested("--corpus"),
+    "config-nested-too-deeply": _deeply_nested("--config"),
+    "spec-nested-too-deeply": _deeply_nested("--spec"),
     "canonical-json-docstore-number": _canonical_json(_member("docstore", 5), "sources"),
     "canonical-json-docstore-array": _canonical_json(_member("docstore", ["dB"]), "sources"),
     "canonical-json-docstore-text-number": _canonical_json(
@@ -799,6 +825,92 @@ def test_non_utf8_input_error_names_the_file(case, workspace, capsys):
         code = exc.code
     assert code == 2
     assert str(workspace / "latin1.txt") in capsys.readouterr().err
+
+
+def _value_paths(value, path=()):
+    """The path (keys and indexes) of every value nested in a decoded
+    JSON value, containers before their items."""
+    if isinstance(value, (dict, list)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        for key, item in items:
+            yield path + (key,)
+            yield from _value_paths(item, path + (key,))
+
+
+def _json_type(value) -> str:
+    if isinstance(value, (dict, list)):
+        return "object" if isinstance(value, dict) else "array"
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "boolean"
+    return "number" if isinstance(value, (int, float)) else "string"
+
+
+JSON_VALUES = {
+    "null": st.none(),
+    "boolean": st.booleans(),
+    "number": st.integers() | st.floats(allow_nan=False, allow_infinity=False),
+    "string": st.text(max_size=4),
+    "array": st.lists(st.integers(0, 3), max_size=2),
+    "object": st.dictionaries(st.text(max_size=3), st.integers(0, 3), max_size=2),
+}
+
+
+def test_edited_corpus_exits_0_or_2_with_one_error_line(workspace, capsys):
+    """A canonical corpus cut at any byte, or with any one value (a
+    scalar, or an array or object with all it holds) replaced by a value
+    of another JSON type, makes `analyze pairs` exit 0, or 2 with one
+    `error:` line; never 1, never a traceback."""
+    assert run_ingest(workspace) == 0
+    data = (workspace / "corpus.json").read_bytes()
+    paths = list(_value_paths(json.loads(data)))
+    edited = workspace / "edited.json"
+
+    @st.composite
+    def edits(draw):
+        if draw(st.booleans()):
+            return data[:draw(st.integers(0, len(data) - 1))]
+        doc = json.loads(data)
+        *parents, last = draw(st.sampled_from(paths))
+        target = doc
+        for key in parents:
+            target = target[key]
+        kinds = sorted(set(JSON_VALUES) - {_json_type(target[last])})
+        target[last] = draw(JSON_VALUES[draw(st.sampled_from(kinds))])
+        return json.dumps(doc).encode("utf-8")
+
+    @settings(max_examples=100, deadline=None)
+    @given(edits())
+    def check(content):
+        edited.write_bytes(content)
+        capsys.readouterr()
+        code = main(["analyze", "pairs", "--corpus", str(edited),
+                     "--out-dir", str(workspace / "reports")])
+        err = capsys.readouterr().err
+        assert code in (0, 2) and "Traceback" not in err, err
+        assert len([line for line in err.splitlines() if "error:" in line]) == (code == 2), err
+
+    check()
+
+
+@pytest.mark.parametrize("case, names", [
+    ("corpus-nested-too-deeply", "cannot decode canonical JSON"),
+    ("config-nested-too-deeply", "cannot read --config"),
+    ("spec-nested-too-deeply", "invalid spec JSON"),
+])
+def test_deeply_nested_json_error_names_the_input(case, names, workspace, capsys):
+    argv = EXIT_2_CASES[case](workspace)
+    capsys.readouterr()
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # --config errors are argparse usage errors
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert names in err and "recursion" in err, err
+    if case.startswith("config"):
+        assert str(workspace / "deep.json") in err
 
 
 @pytest.mark.parametrize("case", sorted(c for c in EXIT_2_CASES
@@ -1209,6 +1321,41 @@ class TestStartUpImports:
         if threads is None:
             pytest.skip("no /proc/self/task to count the threads in")
         assert threads == 1
+
+
+class TestJudgments:
+    """Only `analyze metrics` reads the judgments. Every analysis loads
+    and checks them; the others release them before they score."""
+
+    @pytest.mark.parametrize("analysis, module, function", [
+        ("sources", cli.sources, "score_pairs"),
+        ("metrics", cli.ireval, "score_impressions"),
+    ])
+    def test_only_metrics_keeps_the_judgments(self, analysis, module, function, workspace,
+                                              monkeypatch):
+        """The load checks the judgments; then `analyze sources` scores
+        with none alive, while `analyze metrics` still has them."""
+        assert run_ingest(workspace) == 0
+        alive_at_start = []
+        scoring = getattr(module, function)
+
+        def counted(*args, **kwargs):
+            alive = [o for o in gc.get_objects()
+                     if isinstance(o, RelevanceJudgments) and id(o) not in earlier]
+            alive_at_start.append(len(alive))
+            return scoring(*args, **kwargs)
+
+        monkeypatch.setattr(module, function, counted)
+        earlier = {id(o): o for o in gc.get_objects() if isinstance(o, RelevanceJudgments)}
+        assert main(["analyze", analysis, "--corpus", str(workspace / "corpus.json"),
+                     "--out-dir", str(workspace / "reports")]) == 0
+        assert alive_at_start == [1 if analysis == "metrics" else 0]
+
+    def test_bad_judgments_still_fail_analyses_that_drop_them(self, workspace, capsys):
+        argv = EXIT_2_CASES["canonical-json-qrels-grade-above-4"](workspace)
+        argv[1] = "sources"
+        assert main(argv) == 2
+        assert "qrels grades must be integers from 0 to 4" in capsys.readouterr().err
 
 
 def _welch_betainc(a, b):

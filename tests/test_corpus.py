@@ -1,9 +1,11 @@
+import gc
 import json
 import random
 from dataclasses import replace
 
 import pytest
 
+from sessionterms import corpus as corpus_module
 from sessionterms.corpus import (
     IngestError,
     RelevanceJudgments,
@@ -453,6 +455,90 @@ class TestCanonicalJson:
 
     def test_serialization_deterministic(self, xml_corpus):
         assert to_canonical_json(xml_corpus) == to_canonical_json(xml_corpus)
+
+
+class TestStreamedLoad:
+    """`from_canonical_json` reads the top-level object member by member
+    and builds each session as soon as its JSON is decoded. Any layout
+    that `json.loads` reads gives the same corpus, and the errors keep
+    the precedence of a whole-document load."""
+
+    @pytest.fixture
+    def corpus(self, plain_config):
+        sessions = [
+            (f"s{n}-Ω", "τ" if n % 2 else None,
+             [make_impression(1, f"über café {n}", plain_config, snippets=["naïve 日本", "b c"],
+                              docids=["дoc", f"d{n}"], clicks=[(2, 0, 5.5)]),
+              make_impression(2, f"café {n}", plain_config, snippets=["c d"])])
+            for n in range(3)
+        ]
+        return make_corpus(sessions, plain_config, docstore={"дoc": "ünï \"code\"", "d1": ""},
+                           qrels=RelevanceJudgments({("τ", "дoc"): 2, ("τ", "d1"): 0}),
+                           provenance="crème")
+
+    @pytest.mark.parametrize("layout", ["canonical", "indent", "reversed", "duplicate-sessions",
+                                        "utf-8-bom", "utf-16"])
+    def test_every_layout_loads_the_same_corpus(self, corpus, layout):
+        data = to_canonical_json(corpus)
+        doc = json.loads(data)
+        variant = {
+            "canonical": data,
+            "indent": json.dumps(doc, indent=2).encode("utf-8"),
+            # sessions, schema, qrels, provenance, normalization, docstore
+            "reversed": json.dumps(dict(reversed(doc.items()))).encode("utf-8"),
+            # The last of two `sessions` members wins, a bad first one too.
+            "duplicate-sessions": b'{"sessions": [{"id": 5}], ' + data[1:],
+            "utf-8-bom": b"\xef\xbb\xbf" + data,
+            "utf-16": data.decode("utf-8").encode("utf-16"),
+        }[layout]
+        assert list(doc)[-1] == "sessions"
+        assert to_canonical_json(from_canonical_json(variant)) == data
+
+    def test_schema_error_wins_over_an_earlier_bad_session(self, corpus):
+        doc = json.loads(to_canonical_json(corpus))
+        doc["sessions"][0] = {"id": "no impressions"}
+        doc["schema"] = 2
+        data = json.dumps({"sessions": doc.pop("sessions"), **doc}).encode("utf-8")
+        with pytest.raises(IngestError, match="unsupported canonical schema version 2"):
+            from_canonical_json(data)
+
+    def test_syntax_error_wins_over_an_earlier_bad_session(self, corpus):
+        doc = json.loads(to_canonical_json(corpus))
+        doc["sessions"][0] = {"id": "no impressions"}
+        data = json.dumps({"sessions": doc.pop("sessions"), **doc}).encode("utf-8")
+        with pytest.raises(IngestError, match="missing key 'impressions'"):
+            from_canonical_json(data)
+        with pytest.raises(IngestError, match="cannot decode canonical JSON: Expecting property"):
+            from_canonical_json(data[:-1] + b",}")
+
+    @pytest.mark.parametrize("cut", [b"", b'{"schema":1,', b'{"sessions":[{}', b'{"a":1} x',
+                                     b'{"sessions":[1 2]}', b'{"a" 1}', b"{1:2}"])
+    def test_syntax_error_has_the_message_of_json_loads(self, cut):
+        with pytest.raises(json.JSONDecodeError) as expected:
+            json.loads(cut)
+        with pytest.raises(IngestError) as error:
+            from_canonical_json(cut)
+        assert str(error.value) == f"cannot decode canonical JSON: {expected.value}"
+
+    def test_one_session_json_alive_when_a_session_is_built(self, corpus, monkeypatch):
+        def is_session_json(obj):
+            return type(obj) is dict and "impressions" in obj
+
+        alive = []
+        build = corpus_module.Session
+
+        def counted(*args):
+            alive.append(sum(1 for o in gc.get_objects()
+                             if is_session_json(o) and id(o) not in earlier))
+            return build(*args)
+
+        monkeypatch.setattr(corpus_module, "Session", counted)
+        # Session objects other tests left alive are not this load's;
+        # holding them keeps their ids from being reused.
+        earlier = {id(o): o for o in gc.get_objects() if is_session_json(o)}
+        loaded = from_canonical_json(to_canonical_json(corpus))
+        assert alive == [1] * len(corpus.sessions)
+        assert [s.id for s in loaded.sessions] == [s.id for s in corpus.sessions]
 
 
 class TestValidation:
